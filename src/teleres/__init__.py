@@ -12,7 +12,6 @@ CLI.
 from .linalg import (
     DimensionMismatch,
     EigenDecomposition,
-    KERNEL_BACKEND,
     NoConvergence,
     NotHermitian,
     hermitian_eigen,

@@ -324,6 +324,19 @@ class _UsageError(Exception):
     pass
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= ``low``; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid" message
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="teleres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -345,11 +358,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--quantities", required=True, help="comma-separated list")
     p_sw.add_argument("-o", "--output", required=True)
     p_sw.add_argument("--dembo", choices=("paper", "quarter"), default="paper")
-    p_sw.add_argument("--dim", type=int, default=3, help="local dimension for noisy_singlet")
+    p_sw.add_argument("--dim", type=_int_at_least(2), default=3, help="local dimension for noisy_singlet")
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
-    p_au.add_argument("--trials", type=int, required=True)
-    p_au.add_argument("--seed", type=int, default=0)
+    p_au.add_argument("--trials", type=_int_at_least(1), required=True)
+    p_au.add_argument("--seed", type=_int_at_least(0), default=0)
 
     return parser
 
@@ -377,9 +390,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             return cmd_sweep(spec, args.output, args.dembo, args.dim)
         if args.command == "audit":
-            if args.trials < 1:
-                print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-                return EXIT_USAGE
             return cmd_audit(args.trials, args.seed)
     except InvalidSpec as exc:
         print(f"error: invalid sweep spec: {exc}", file=sys.stderr)

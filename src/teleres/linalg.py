@@ -1,15 +1,11 @@
-"""Dense complex Hermitian linear-algebra kernel for small matrices (dim <= 16).
+"""Dense complex Hermitian linear algebra for small matrices (dim <= 16).
 
-The eigensolver is a cyclic Jacobi iteration: deterministic, robust, and
-fast enough at these sizes. A compiled Cython kernel is preferred at import
-time; a pure-Python kernel with the identical rotation schedule is the
-fallback. Set ``TELERES_KERNEL=python`` or ``TELERES_KERNEL=compiled`` to
-force one.
+The eigensolver is LAPACK's Hermitian driver through ``np.linalg.eigh``:
+deterministic for identical input, with eigenvalues in ascending order.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +15,6 @@ __all__ = [
     "NotHermitian",
     "NoConvergence",
     "DimensionMismatch",
-    "KERNEL_BACKEND",
     "hermitian_eigen",
     "tensor",
     "trace_product",
@@ -27,11 +22,6 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-10
-# convergence when the off-diagonal Frobenius mass drops below this
-# fraction of ||M||_F; an absolute 1e-14 is unreachable in double
-# precision for matrices of non-unit scale
-OFFDIAG_RTOL = 1e-14
-MAX_SWEEPS = 100
 
 
 class NotHermitian(ValueError):
@@ -39,30 +29,11 @@ class NotHermitian(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """Jacobi iteration did not converge within the sweep cap."""
+    """The eigensolver did not converge."""
 
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
-
-
-def _load_kernel():
-    choice = os.environ.get("TELERES_KERNEL", "").strip().lower()
-    if choice in {"py", "python"}:
-        from . import _jacobi_py
-
-        return _jacobi_py, "python"
-    try:
-        from . import _jacobi
-
-        return _jacobi, "compiled"
-    except ImportError:
-        from . import _jacobi_py
-
-        return _jacobi_py, "python"
-
-
-_KERNEL, KERNEL_BACKEND = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -91,51 +62,24 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
-def hermitian_eigen(
-    mat: np.ndarray,
-    *,
-    max_sweeps: int = MAX_SWEEPS,
-    backend: str | None = None,
-) -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix with cyclic Jacobi rotations.
+def hermitian_eigen(mat: np.ndarray) -> EigenDecomposition:
+    """Eigendecompose a Hermitian matrix.
 
     Deterministic for identical input. Raises :class:`NotHermitian` when
-    the Hermiticity defect exceeds 1e-10, :class:`NoConvergence` when
-    the sweep cap is exhausted, and :class:`ImportError` when
-    ``backend="compiled"`` is asked for but ``teleres._jacobi`` is not built.
+    the Hermiticity defect exceeds 1e-10 or is not finite, and
+    :class:`NoConvergence` when LAPACK reports no convergence.
     """
     m = as_complex_matrix(mat)
-    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > HERMITIAN_TOL:
+    defect = hermiticity_defect(m)
+    # NaN-safe: a NaN or inf entry fails here and never reaches LAPACK
+    if not defect <= HERMITIAN_TOL:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-
-    if backend is None:
-        kernel = _KERNEL
-    elif backend == "python":
-        from . import _jacobi_py as kernel
-    elif backend == "compiled":
-        try:
-            from . import _jacobi as kernel
-        except ImportError as exc:
-            raise ImportError(
-                "the compiled kernel teleres._jacobi is not built; build it with "
-                "`pip install -e . --no-build-isolation` (needs a C compiler)"
-            ) from exc
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-
-    n = m.shape[0]
-    work = np.ascontiguousarray(0.5 * (m + m.conj().T))
-    vecs = np.eye(n, dtype=np.complex128)
-    scale = float(np.linalg.norm(work))
-    if scale > 0.0:
-        sweeps = kernel.sweep_eigh(work, vecs, OFFDIAG_RTOL * scale, max_sweeps)
-        if sweeps < 0:
-            raise NoConvergence(f"no convergence after {max_sweeps} sweeps (n={n})")
-
-    vals = np.diagonal(np.asarray(work)).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(vals[order], np.asarray(vecs)[:, order])
+    # eigh reads one triangle only; symmetrise so both halves count
+    try:
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver did not converge (n={m.shape[0]}): {exc}") from exc
+    return EigenDecomposition(vals, vecs)
 
 
 def tensor(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Brute-force verifiers that audit the criteria against first principles.
 
-Everything here is deliberately independent of the package's own Jacobi
-kernel: spectra are taken from numpy's LAPACK bindings, so the audit and
-the artifact form a dual route. Random streams are counter-based (Philox)
-and derived from (seed, trial index), so results do not depend on
-execution order.
+Everything here is deliberately independent of the package's own
+eigensolver: the package runs LAPACK's Hermitian driver (zheevd), while
+every spectrum here comes from the general eigenvalue driver (zgeev), so
+the audit and the artifact form a dual route. Random streams are
+counter-based (Philox) and derived from (seed, trial index), so results
+do not depend on execution order.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def random_psd(dim: int, rng: np.random.Generator) -> np.ndarray:
     return g @ g.conj().T
 
 
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix by the general QR route."""
+    return np.sort(np.linalg.eigvals(mat).real)
+
+
 def random_density_matrix(
     d: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityMatrix:
@@ -76,7 +82,7 @@ def random_density_matrix(
     m = g @ g.conj().T
     m = 0.5 * (m + m.conj().T)  # exact Hermitian symmetry, not just within tolerance
     m /= np.trace(m).real
-    return DensityMatrix._with_spectrum(m, d, np.linalg.eigvalsh(m))
+    return DensityMatrix._with_spectrum(m, d, _spectrum(m))
 
 
 def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> float:
@@ -150,7 +156,7 @@ def _check_trace_sandwich(rng: np.random.Generator) -> float:
     dim = int(rng.integers(2, 10))
     a = random_hermitian(dim, rng)
     b = random_psd(dim, rng)
-    w = np.linalg.eigvalsh(a)
+    w = _spectrum(a)
     tr_ab = np.einsum("ij,ji->", a, b).real
     tr_b = np.trace(b).real
     return min(tr_ab - w[0] * tr_b + 1e-9, w[-1] * tr_b - tr_ab + 1e-9)
@@ -160,22 +166,22 @@ def _check_weyl(rng: np.random.Generator) -> float:
     dim = int(rng.integers(2, 10))
     a = random_hermitian(dim, rng)
     b = random_hermitian(dim, rng)
-    wa = np.linalg.eigvalsh(a)
-    wb = np.linalg.eigvalsh(b)
-    ws = np.linalg.eigvalsh(a + b)
+    wa = _spectrum(a)
+    wb = _spectrum(b)
+    ws = _spectrum(a + b)
     return min(ws[-1] - (wa[-1] + wb[0]) + 1e-9, (wa[-1] + wb[-1]) - ws[-1] + 1e-9)
 
 
 def _check_lambda_max_range(rng: np.random.Generator) -> float:
     d = int(rng.integers(2, 4))
     rho = random_density_matrix(d, rng)
-    lam = np.linalg.eigvalsh(rho.mat)[-1]
+    lam = _spectrum(rho.mat)[-1]
     return min(lam - 1.0 / (d * d) + 1e-10, 1.0 - lam + 1e-10)
 
 
 def _check_fef_below_lambda_max_d2(rng: np.random.Generator) -> float:
     rho = random_density_matrix(2, rng)
-    lam = np.linalg.eigvalsh(rho.mat)[-1]
+    lam = _spectrum(rho.mat)[-1]
     return lam - criteria.fef_2qubit(rho) + 1e-9
 
 
@@ -187,14 +193,14 @@ def _check_basis_below_lambda_max_d3(rng: np.random.Generator) -> float:
     if _QUTRIT_BASIS is None:
         _QUTRIT_BASIS = qutrit_me_basis()
     rho = random_density_matrix(3, rng)
-    lam = np.linalg.eigvalsh(rho.mat)[-1]
+    lam = _spectrum(rho.mat)[-1]
     return lam - criteria.singlet_fraction_basis(rho, _QUTRIT_BASIS) + 1e-9
 
 
 def _check_dembo_quarter_sandwich(rng: np.random.Generator) -> float:
     d = int(rng.integers(2, 4))
     rho = random_density_matrix(d, rng)
-    lam = np.linalg.eigvalsh(rho.mat)[-1]
+    lam = _spectrum(rho.mat)[-1]
     lower, upper_q = criteria.dembo_bounds(rho, "quarter")
     _, upper_p = criteria.dembo_bounds(rho, "paper")
     return min(lam - lower + 1e-9, upper_q - lam + 1e-9, upper_p - upper_q + 1e-9)

@@ -51,13 +51,16 @@ class ParseError(ValueError):
 
 def _checked_matrix(mat: np.ndarray, d: int | None) -> tuple[np.ndarray, int]:
     """The d^2 x d^2 complex matrix and its local dimension, once shape,
-    Hermiticity and unit trace hold; the spectrum is checked by the caller."""
+    finiteness, Hermiticity and unit trace hold; the spectrum is checked by
+    the caller."""
     m = linalg.as_complex_matrix(mat)
     n = m.shape[0]
     if d is None:
         d = math.isqrt(n)
     if d < 2 or d * d != n:
         raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
+    if not np.isfinite(m).all():
+        raise NotAState("matrix has a non-finite entry (NaN or inf)")
 
     defect = linalg.hermiticity_defect(m)
     if defect > linalg.HERMITIAN_TOL:
@@ -86,8 +89,8 @@ class DensityMatrix:
         """A state checked exactly as the constructor checks it, against an
         ascending ``spectrum`` of ``mat`` that the caller computed.
 
-        The audit oracle passes numpy's LAPACK spectrum here, so that it
-        never runs the Jacobi kernel it audits.
+        The audit oracle passes a spectrum from its own eigenvalue route
+        here, so that it never runs the eigensolver it audits.
         """
         m, d = _checked_matrix(mat, d)
         state = cls.__new__(cls)

@@ -87,6 +87,16 @@ def test_analyze_invalid_state_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "trace" in err
 
+    # json.dumps writes NaN and Infinity, which json.load reads back
+    for value in (float("nan"), float("inf")):
+        doc = {"d": 2, "entries": [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]}
+        doc["entries"][1] = [value, 0.0]
+        bad.write_text(json.dumps(doc))
+        assert main(["analyze", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err
+        assert err.count("\n") == 1
+
 
 def test_analyze_missing_file_exit_2(tmp_path):
     assert main(["analyze", str(tmp_path / "ghost.json")]) == EXIT_VALIDATION
@@ -282,9 +292,17 @@ def test_audit_passes(capsys):
     assert "audit passed" in out
 
 
-def test_audit_zero_trials_usage_error(capsys):
-    assert main(["audit", "--trials", "0", "--seed", "1"]) == EXIT_USAGE
-    capsys.readouterr()
+def test_audit_zero_trials_usage_error(tmp_path, capsys):
+    sweep = ["sweep", "--family", "noisy_singlet", "--from", "0", "--to", "1", "--steps", "3",
+             "--quantities", "lambda_max", "-o", str(tmp_path / "out.csv")]
+    for argv in (
+        ["audit", "--trials", "0", "--seed", "1"],
+        ["audit", "--trials", "2", "--seed", "-1"],
+        [*sweep, "--dim", "1"],
+    ):
+        assert main(argv) == EXIT_USAGE
+        assert "error: argument" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_audit_injected_violation_exit_3(capsys):

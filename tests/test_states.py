@@ -45,6 +45,14 @@ def test_validation_rejects_negative_eigenvalue():
         DensityMatrix(m, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_validation_rejects_non_finite_entry(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = bad
+    with pytest.raises(NotAState, match="non-finite"):
+        DensityMatrix(m, 2)
+
+
 def test_validation_rejects_non_square_dimension():
     with pytest.raises(NotAState):
         DensityMatrix(np.eye(6, dtype=complex) / 6, None)
