@@ -11,7 +11,6 @@ CLI.
 
 from .linalg import (
     DimensionMismatch,
-    EigenDecomposition,
     NoConvergence,
     NotHermitian,
     hermitian_eigen,

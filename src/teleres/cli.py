@@ -2,8 +2,8 @@
 
 Subcommands: ``analyze`` a state file, ``reproduce`` the bundled reference
 curves and worked examples as CSV, ``sweep`` a state family, and ``audit``
-the inequality harness. Exit codes: 0 success, 1 usage, 2 parse or
-validation failure, 3 audit violation.
+the inequality harness. Exit codes: 0 success, 1 usage error or
+unwritable output, 2 parse or validation failure, 3 audit violation.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_AUDIT = 3
 
+MAX_STEPS = 1_000_000
+
 REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
 
 _FAMILY_RANGES = {
@@ -92,8 +94,8 @@ class SweepSpec:
             raise InvalidSpec(f"unknown family {self.family!r}")
         if not self.lo < self.hi:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.steps < 2:
-            raise InvalidSpec(f"need steps >= 2, got {self.steps}")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise InvalidSpec(f"need 2 <= steps <= {MAX_STEPS}, got {self.steps}")
         vlo, vhi = _FAMILY_RANGES[self.family]
         if self.lo < vlo - 1e-12 or self.hi > vhi + 1e-12:
             raise InvalidSpec(
@@ -324,13 +326,14 @@ class _UsageError(Exception):
     pass
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= ``low``; anything else is a usage error."""
+def _int_at_least(low: int, high: float = math.inf):
+    """argparse type: an integer in [low, high]; anything else is a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if not low <= value <= high:
+            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid" message
@@ -362,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
     p_au.add_argument("--trials", type=_int_at_least(1), required=True)
-    p_au.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_au.add_argument("--seed", type=_int_at_least(0, 2**64 - 1), default=0)  # a uint64 Philox key
 
     return parser
 
@@ -397,6 +400,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, NotAState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # reproduce and sweep write args.output; analyze and audit only print
+        target = getattr(args, "output", "stdout")
+        print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
     raise AssertionError("unreachable")
 
 

@@ -86,10 +86,13 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "second") -> np.ndarr
     return np.ascontiguousarray(out.reshape(d * d, d * d))
 
 
+def _pt_min(rho: DensityMatrix) -> float:
+    return float(hermitian_eigen(partial_transpose(rho))[0])
+
+
 def is_npt(rho: DensityMatrix) -> bool:
     """True iff the partial transpose has an eigenvalue below -1e-10."""
-    eig = hermitian_eigen(partial_transpose(rho))
-    return float(eig.eigenvalues[0]) < -NPT_TOL
+    return _pt_min(rho) < -NPT_TOL
 
 
 def spa_pt_2qubit(rho: DensityMatrix) -> DensityMatrix:
@@ -182,41 +185,16 @@ def sigma_spa_threshold(re_f: float, e: float) -> float:
 def optimize_filter(rho: DensityMatrix) -> tuple[float, float]:
     """Maximize f_opt_locc_pt over the filter parameter a in [0, 1].
 
-    Coarse 101-point grid to bracket the best candidate, then
-    golden-section refinement to |delta a| < 1e-8. Returns (a*, f*).
+    The value is the concave quadratic
+    1/2 - (a^2 rho_00 + 2a Re rho_12 + rho_33)/2 (Verstraete & Verschelde,
+    PRL 90, 097901 (2003)), so a* = clip(-Re rho_12 / rho_00, 0, 1); when
+    rho_00 = 0 it is linear and a* = 1 unless Re rho_12 > 0. Returns (a*, f*).
     """
     if rho.d != 2:
         raise DimensionUnsupported("filter optimization is defined for d=2")
-    pt = partial_transpose(rho)
-    psi = phi_plus(2).vec
-
-    def f(a: float) -> float:
-        v = tensor(np.diag([a, 1.0]).astype(complex), np.eye(2, dtype=complex)) @ psi
-        return 0.5 - float(np.vdot(v, pt @ v).real)
-
-    grid = np.linspace(0.0, 1.0, 101)
-    vals = [f(a) for a in grid]
-    k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - invphi * (hi - lo)
-    d_ = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d_)
-    while hi - lo > 1e-8:
-        if fc >= fd:
-            hi, d_, fd = d_, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d_, fd
-            d_ = lo + invphi * (hi - lo)
-            fd = f(d_)
-    a_star = 0.5 * (lo + hi)
-    candidates = [(f(a_star), a_star), (vals[0], 0.0), (vals[-1], 1.0)]
-    f_star, a_star = max(candidates)
-    return float(a_star), float(f_star)
+    r00, re12 = float(rho.mat[0, 0].real), float(rho.mat[1, 2].real)
+    a_star = min(1.0, max(0.0, -re12 / r00)) if r00 > 0.0 else float(re12 <= 0.0)
+    return a_star, f_opt_locc_pt(rho, FilterOperator(a_star))
 
 
 def singlet_fraction_basis(
@@ -226,16 +204,15 @@ def singlet_fraction_basis(
 
     A lower bound on the fully entangled fraction.
     """
-    best = -math.inf
+    if not basis:
+        raise ValueError("basis is empty")
     for b in basis:
         if b.vec.size != rho.dim:
             raise DimensionMismatch(
                 f"basis vector of length {b.vec.size} does not match state dim {rho.dim}"
             )
-        best = max(best, float(np.vdot(b.vec, rho.mat @ b.vec).real))
-    if best == -math.inf:
-        raise ValueError("basis is empty")
-    return best
+    vecs = np.array([b.vec for b in basis])
+    return float(np.einsum("ki,ij,kj->k", vecs.conj(), rho.mat, vecs).real.max())
 
 
 _MAGIC = np.array(
@@ -259,8 +236,7 @@ def fef_2qubit(rho: DensityMatrix) -> float:
     if rho.d != 2:
         raise DimensionUnsupported("exact fully entangled fraction is defined for d=2")
     m = _MAGIC.conj().T @ rho.mat @ _MAGIC
-    eig = hermitian_eigen(m.real.astype(np.complex128))
-    return float(eig.eigenvalues[-1])
+    return float(hermitian_eigen(m.real.astype(np.complex128))[-1])
 
 
 def max_eigenvalue(rho: DensityMatrix) -> float:
@@ -310,9 +286,9 @@ class DemboDecomposition:
         if eta_low is None or eta_high is None:
             eig = hermitian_eigen(r_sub)
             if eta_low is None:
-                eta_low = float(eig.eigenvalues[0])
+                eta_low = float(eig[0])
             if eta_high is None:
-                eta_high = float(eig.eigenvalues[-1])
+                eta_high = float(eig[-1])
         return cls(r_sub, b, c, float(eta_low), float(eta_high))
 
     def reassemble(self) -> np.ndarray:
@@ -345,13 +321,16 @@ def dembo_bounds(
     if variant not in {"paper", "quarter"}:
         raise ValueError(f"variant must be 'paper' or 'quarter', got {variant!r}")
     dec = DemboDecomposition.from_matrix(rho.mat, eta_low=eta_low, eta_high=eta_high)
+    lower, up_paper, up_quarter = _dembo_all(dec)
+    return lower, up_paper if variant == "paper" else up_quarter
+
+
+def _dembo_all(dec: DemboDecomposition) -> tuple[float, float, float]:
+    """(lower, paper upper, quarter upper) from one split."""
     btb = float(np.vdot(dec.b, dec.b).real)
     lower = (dec.c + dec.eta_low) / 2.0 + math.sqrt((dec.c - dec.eta_low) ** 2 / 4.0 + btb)
-    denom = 2.0 if variant == "paper" else 4.0
-    upper = (dec.c + dec.eta_high) / 2.0 + math.sqrt(
-        (dec.c - dec.eta_high) ** 2 / denom + btb
-    )
-    return lower, upper
+    mid, gap2 = (dec.c + dec.eta_high) / 2.0, (dec.c - dec.eta_high) ** 2
+    return lower, mid + math.sqrt(gap2 / 2.0 + btb), mid + math.sqrt(gap2 / 4.0 + btb)
 
 
 class Verdict(str, Enum):
@@ -399,12 +378,11 @@ def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport
     """
     d = rho.d
     lam_max = max_eigenvalue(rho)
-    pt_min = float(hermitian_eigen(partial_transpose(rho)).eigenvalues[0])
+    pt_min = _pt_min(rho)
     npt = pt_min < -NPT_TOL
     ppt_confident = pt_min > NPT_TOL
 
-    lower, up_paper = dembo_bounds(rho, "paper")
-    _, up_quarter = dembo_bounds(rho, "quarter")
+    lower, up_paper, up_quarter = _dembo_all(DemboDecomposition.from_matrix(rho.mat))
     up_selected = up_paper if dembo_variant == "paper" else up_quarter
 
     frac = _singlet_fraction_lower(rho)

@@ -1,17 +1,15 @@
 """Dense complex Hermitian linear algebra for small matrices (dim <= 16).
 
-The eigensolver is LAPACK's Hermitian driver through ``np.linalg.eigh``:
-deterministic for identical input, with eigenvalues in ascending order.
+The eigensolver is LAPACK's Hermitian driver through
+``np.linalg.eigvalsh``: eigenvalues only, deterministic for identical
+input and in ascending order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
     "NotHermitian",
     "NoConvergence",
     "DimensionMismatch",
@@ -36,19 +34,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Full spectrum of a Hermitian matrix.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors[:, i]`` is the
-    unit eigenvector for ``eigenvalues[i]``. Ties keep the order of the
-    original diagonal index.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def as_complex_matrix(mat: np.ndarray) -> np.ndarray:
     m = np.ascontiguousarray(mat, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -57,29 +42,30 @@ def as_complex_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:
-    """max |M_ij - conj(M_ji)| over all entries."""
+    """max |M_ij - conj(M_ji)| over all entries; inf for a non-finite entry."""
     m = as_complex_matrix(mat)
+    if not np.isfinite(m).all():
+        return np.inf
     return float(np.abs(m - m.conj().T).max(initial=0.0))
 
 
-def hermitian_eigen(mat: np.ndarray) -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix.
+def hermitian_eigen(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix.
 
     Deterministic for identical input. Raises :class:`NotHermitian` when
-    the Hermiticity defect exceeds 1e-10 or is not finite, and
+    the Hermiticity defect exceeds 1e-10, as it does for any non-finite
+    entry, and
     :class:`NoConvergence` when LAPACK reports no convergence.
     """
     m = as_complex_matrix(mat)
     defect = hermiticity_defect(m)
-    # NaN-safe: a NaN or inf entry fails here and never reaches LAPACK
-    if not defect <= HERMITIAN_TOL:
+    if defect > HERMITIAN_TOL:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
-    # eigh reads one triangle only; symmetrise so both halves count
+    # eigvalsh reads one triangle only; symmetrise so both halves count
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver did not converge (n={m.shape[0]}): {exc}") from exc
-    return EigenDecomposition(vals, vecs)
 
 
 def tensor(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:

@@ -185,16 +185,10 @@ def _check_fef_below_lambda_max_d2(rng: np.random.Generator) -> float:
     return lam - criteria.fef_2qubit(rho) + 1e-9
 
 
-_QUTRIT_BASIS = None
-
-
 def _check_basis_below_lambda_max_d3(rng: np.random.Generator) -> float:
-    global _QUTRIT_BASIS
-    if _QUTRIT_BASIS is None:
-        _QUTRIT_BASIS = qutrit_me_basis()
     rho = random_density_matrix(3, rng)
     lam = _spectrum(rho.mat)[-1]
-    return lam - criteria.singlet_fraction_basis(rho, _QUTRIT_BASIS) + 1e-9
+    return lam - criteria.singlet_fraction_basis(rho, qutrit_me_basis()) + 1e-9
 
 
 def _check_dembo_quarter_sandwich(rng: np.random.Generator) -> float:

@@ -6,6 +6,7 @@ i_A * d + i_B.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -82,7 +83,7 @@ class DensityMatrix:
 
     def __init__(self, mat: np.ndarray, d: int | None = None, *, psd_tol: float = PSD_TOL):
         m, d = _checked_matrix(mat, d)
-        self._accept(m, d, hermitian_eigen(m).eigenvalues, psd_tol)
+        self._accept(m, d, hermitian_eigen(m), psd_tol)
 
     @classmethod
     def _with_spectrum(cls, mat: np.ndarray, d: int, spectrum: np.ndarray) -> DensityMatrix:
@@ -263,8 +264,10 @@ _QUTRIT_TRIPLES = (
 )
 
 
-def qutrit_me_basis() -> list[MaximallyEntangledVector]:
-    """The nine-vector maximally entangled basis of C^9 with phase -e^{i pi/3}."""
+@functools.cache
+def qutrit_me_basis() -> tuple[MaximallyEntangledVector, ...]:
+    """The nine-vector maximally entangled basis of C^9 with phase -e^{i pi/3},
+    built and validated once, on first use, and shared by every caller."""
     phase = -np.exp(1j * np.pi / 3.0)
     out = []
     for k1, k2, k3 in _QUTRIT_TRIPLES:
@@ -273,7 +276,7 @@ def qutrit_me_basis() -> list[MaximallyEntangledVector]:
         v[3 * k2[0] + k2[1]] += 1.0
         v[3 * k3[0] + k3[1]] += phase
         out.append(MaximallyEntangledVector(v / math.sqrt(3.0)))
-    return out
+    return tuple(out)
 
 
 def save_state(rho: DensityMatrix, path: str | os.PathLike) -> None:

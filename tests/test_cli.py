@@ -256,6 +256,7 @@ def test_sweep_bad_steps_and_order(tmp_path):
     base = ["sweep", "--family", "rho3", "--quantities", "lambda_max", "-o", str(tmp_path / "x.csv")]
     assert main(base + ["--from", "0.5", "--to", "0.65", "--steps", "1"]) == EXIT_USAGE
     assert main(base + ["--from", "0.65", "--to", "0.5", "--steps", "4"]) == EXIT_USAGE
+    assert main(base + ["--from", "0.5", "--to", "0.65", "--steps", "1000001"]) == EXIT_USAGE
 
 
 def test_sweep_unknown_quantity(tmp_path):
@@ -294,14 +295,21 @@ def test_audit_passes(capsys):
 
 def test_audit_zero_trials_usage_error(tmp_path, capsys):
     sweep = ["sweep", "--family", "noisy_singlet", "--from", "0", "--to", "1", "--steps", "3",
-             "--quantities", "lambda_max", "-o", str(tmp_path / "out.csv")]
-    for argv in (
-        ["audit", "--trials", "0", "--seed", "1"],
-        ["audit", "--trials", "2", "--seed", "-1"],
-        [*sweep, "--dim", "1"],
+             "--quantities", "lambda_max"]
+    out = ["-o", str(tmp_path / "out.csv")]
+    unwritable = ["-o", str(tmp_path / "missing_dir" / "x.csv")]
+    for argv, message in (
+        (["audit", "--trials", "0", "--seed", "1"], "error: argument"),
+        (["audit", "--trials", "2", "--seed", "-1"], "error: argument"),
+        (["audit", "--trials", "1", "--seed", str(2**64)], "error: argument"),
+        ([*sweep, *out, "--dim", "1"], "error: argument"),
+        (["reproduce", "fig1", *unwritable], "error: cannot write"),
+        ([*sweep, *unwritable], "error: cannot write"),
     ):
         assert main(argv) == EXIT_USAGE
-        assert "error: argument" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
     assert not (tmp_path / "out.csv").exists()
 
 

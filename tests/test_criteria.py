@@ -31,6 +31,7 @@ from teleres import (
     verdict,
     x_opt,
 )
+from teleres import criteria
 from teleres.criteria import DemboDecomposition, DimensionUnsupported
 from teleres.linalg import DimensionMismatch, hermitian_eigen, tensor, trace_product
 from teleres.oracle import _rng, random_density_matrix
@@ -65,7 +66,7 @@ def test_pt_of_product_state_stays_positive(rng):
         rho = DensityMatrix(tensor(ra, rb), 2)
         pt = partial_transpose(rho)
         np.testing.assert_allclose(pt, tensor(ra, rb.T), atol=1e-14)
-        assert hermitian_eigen(pt).eigenvalues[0] >= -1e-12
+        assert hermitian_eigen(pt)[0] >= -1e-12
 
 
 def test_pt_is_involution():
@@ -90,7 +91,7 @@ def test_pt_rejects_unknown_subsystem():
 
 
 def test_rho1_is_npt():
-    assert hermitian_eigen(partial_transpose(rho1())).eigenvalues[0] < -1e-3
+    assert hermitian_eigen(partial_transpose(rho1()))[0] < -1e-3
     assert is_npt(rho1())
 
 
@@ -171,7 +172,7 @@ def test_x_opt_corner_values():
 
 def test_x_opt_is_rank_one():
     for a in (0.1, 0.5, 1.0):
-        w = hermitian_eigen(x_opt(FilterOperator(a))).eigenvalues
+        w = hermitian_eigen(x_opt(FilterOperator(a)))
         assert np.sum(w > 1e-12) == 1
 
 
@@ -320,13 +321,36 @@ def test_optimize_filter_dominates_grid():
             assert f_star >= f_opt_locc_pt(rho, FilterOperator(a)) - 1e-10
 
 
+def test_optimize_filter_closed_form_is_the_pt_value_and_beats_a_fine_grid():
+    grid = np.linspace(0.0, 1.0, 1001)
+    for rank in (1, 2, 3, 4):
+        for i in range(2):
+            rho = random_density_matrix(2, _rng(61, 100 * rank + i), rank=rank)
+            a_star, f_star = optimize_filter(rho)
+            assert f_star == f_opt_locc_pt(rho, FilterOperator(a_star))
+            for a in grid:
+                assert f_star >= f_opt_locc_pt(rho, FilterOperator(float(a))) - 1e-15
+
+
+def test_optimize_filter_flat_value_takes_identity_filter():
+    # rho_00 = Re rho_12 = 0: the PT value does not depend on a; a* = 1
+    rho = DensityMatrix(np.diag([0.0, 0.3, 0.3, 0.4]).astype(complex), 2)
+    a_star, f_star = optimize_filter(rho)
+    assert a_star == 1.0
+    assert f_star == f_opt_locc_pt(rho, FilterOperator(1.0))
+
+
 # ---- singlet fraction ----
 
 def test_basis_fraction_rho2_formula():
     basis = qutrit_me_basis()
     for a in np.linspace(0.35, 0.369, 5):
-        got = singlet_fraction_basis(rho2(float(a)), basis)
+        rho = rho2(float(a))
+        got = singlet_fraction_basis(rho, basis)
         assert got == pytest.approx((1.22 - a) / 3, abs=1e-12)
+        # the stacked overlaps against a per-vector loop, up to summation order
+        loop = max(float(np.vdot(b.vec, rho.mat @ b.vec).real) for b in basis)
+        assert got == pytest.approx(loop, abs=1e-15)
 
 
 def test_basis_fraction_phi3():
@@ -392,8 +416,8 @@ def test_dembo_decomposition_reassembles():
     rho = random_state(3, 0, seed=39)
     dec = DemboDecomposition.from_matrix(rho.mat)
     np.testing.assert_array_equal(dec.reassemble(), rho.mat)
-    assert dec.eta_low == pytest.approx(hermitian_eigen(dec.r_sub).eigenvalues[0], abs=1e-12)
-    assert dec.eta_high == pytest.approx(hermitian_eigen(dec.r_sub).eigenvalues[-1], abs=1e-12)
+    assert dec.eta_low == pytest.approx(hermitian_eigen(dec.r_sub)[0], abs=1e-12)
+    assert dec.eta_high == pytest.approx(hermitian_eigen(dec.r_sub)[-1], abs=1e-12)
 
 
 def test_dembo_rho3_reproduces_quoted_number():
@@ -521,6 +545,22 @@ def test_report_invariants_on_random_states():
             (rep.d * min(rep.lambda_max, 1.0) + 1) / (rep.d + 1), abs=1e-12
         )
         assert rep.singlet_fraction_lower <= rep.lambda_max + 1e-9
+
+
+def test_verdict_eigensolves_each_matrix_once(monkeypatch):
+    # d = 2: partial transpose, R_sub, magic-basis FEF; d >= 3: partial
+    # transpose, R_sub (lambda_max comes from the validated spectrum)
+    sizes = []
+
+    def counting(mat):
+        sizes.append(len(mat))
+        return hermitian_eigen(mat)
+
+    monkeypatch.setattr(criteria, "hermitian_eigen", counting)
+    for rho, expected in ((rho1(), [3, 4, 4]), (rho3(0.65), [8, 9]), (noisy_singlet(0.9, 4), [15, 16])):
+        sizes.clear()
+        verdict(rho)
+        assert sorted(sizes) == expected
 
 
 def test_verdict_d4_uses_phi_plus_overlap():

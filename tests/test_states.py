@@ -249,6 +249,7 @@ def test_noisy_singlet_range_check():
 def test_qutrit_basis_orthonormal():
     basis = qutrit_me_basis()
     assert len(basis) == 9
+    assert isinstance(basis, tuple) and qutrit_me_basis() is basis  # built once, shared
     for i in range(9):
         for j in range(9):
             ip = np.vdot(basis[i].vec, basis[j].vec)
