@@ -119,6 +119,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _columns(*columns) -> list[list]:
+    """Rows of Python values from equal-length columns (arrays or lists)."""
+    return [list(row) for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -160,24 +165,14 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
 
 def _reproduce_rows(target: str) -> tuple[list[str], list[list]]:
     if target == "fig1":
-        sig = _sigma1()
-        rows = []
-        for a in np.linspace(0.78, 1.0, 200):
-            rows.append([float(a), f_opt_locc_spa(sig, FilterOperator(float(a)))])
-        return ["a", "f_opt"], rows
+        a = np.linspace(0.78, 1.0, 200)
+        return ["a", "f_opt"], _columns(a, f_opt_locc_spa(_sigma1(), FilterOperator(a)))
 
-    if target == "fig2":
-        basis = qutrit_me_basis()
-        rows = []
-        for a in np.linspace(0.35, 0.369, 200):
-            rows.append([float(a), singlet_fraction_basis(rho2(float(a)), basis)])
-        return ["a", "singlet_fraction"], rows
-
-    if target == "fig3":
-        rows = []
-        for a in np.linspace(0.35, 0.369, 200):
-            rows.append([float(a), max_eigenvalue(rho2(float(a)))])
-        return ["a", "lambda_max"], rows
+    if target in ("fig2", "fig3"):
+        a = np.linspace(0.35, 0.369, 200)
+        if target == "fig2":
+            return ["a", "singlet_fraction"], _columns(a, singlet_fraction_basis(rho2(a), qutrit_me_basis()))
+        return ["a", "lambda_max"], _columns(a, max_eigenvalue(rho2(a)))
 
     header = ["quantity", "expected", "computed", "abs_diff", "reproduced"]
 
@@ -249,51 +244,40 @@ def cmd_reproduce(target: str, out_path: str) -> int:
     return EXIT_OK
 
 
-def _sweep_state(family: str, value: float, dim: int):
+def _sweep_states(family: str, params: np.ndarray, dim: int) -> states.DensityMatrix:
+    """The family's states at every parameter, as one validated stack."""
     if family == "rho2":
-        return rho2(value)
+        return rho2(params)
     if family == "rho3":
-        return rho3(value)
+        return rho3(params)
     if family == "rho_alpha":
-        return rho_alpha(value)
+        return rho_alpha(params)
     if family == "noisy_singlet":
-        return noisy_singlet(value, dim)
+        return noisy_singlet(params, dim)
     raise InvalidSpec(f"family {family!r} has no state constructor")
+
+
+def _report_value(report: criteria.CriterionReport, quantity: str):
+    return report.verdict.value if quantity == "verdict" else getattr(report, quantity)
 
 
 def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper", dim: int = 3) -> int:
     spec.validate()
     params = np.linspace(spec.lo, spec.hi, spec.steps)
-    header = ["param", *spec.quantities]
-    rows: list[list] = []
     if spec.family == "sigma":
+        # one state; the filter parameter runs over the whole vector at once
         sig = _sigma1()
         base = verdict(sig, dembo_variant)
-        for a in params:
-            flt = FilterOperator(float(a))
-            values: list = [float(a)]
-            for q in spec.quantities:
-                if q == "f_opt_spa":
-                    values.append(f_opt_locc_spa(sig, flt))
-                elif q == "f_opt_pt":
-                    values.append(f_opt_locc_pt(sig, flt))
-                elif q == "verdict":
-                    values.append(base.verdict.value)
-                else:
-                    values.append(getattr(base, q))
-            rows.append(values)
+        flt = FilterOperator(params)
+        routes = {"f_opt_spa": f_opt_locc_spa(sig, flt), "f_opt_pt": f_opt_locc_pt(sig, flt)}
+        columns = [
+            routes[q] if q in routes else [_report_value(base, q)] * spec.steps
+            for q in spec.quantities
+        ]
     else:
-        for p in params:
-            rho = _sweep_state(spec.family, float(p), dim)
-            report = verdict(rho, dembo_variant)
-            values = [float(p)]
-            for q in spec.quantities:
-                if q == "verdict":
-                    values.append(report.verdict.value)
-                else:
-                    values.append(getattr(report, q))
-            rows.append(values)
-    _write_csv(out_path, header, rows)
+        reports = verdict(_sweep_states(spec.family, params, dim), dembo_variant)
+        columns = [[_report_value(r, q) for r in reports] for q in spec.quantities]
+    _write_csv(out_path, ["param", *spec.quantities], _columns(params, *columns))
     return EXIT_OK
 
 
@@ -365,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
     p_au.add_argument("--trials", type=_int_at_least(1), required=True)
-    p_au.add_argument("--seed", type=_int_at_least(0, 2**64 - 1), default=0)  # a uint64 Philox key
+    p_au.add_argument("--seed", type=_int_at_least(0, oracle.SEED_MAX), default=0)
 
     return parser
 

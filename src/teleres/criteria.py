@@ -5,6 +5,9 @@ Covers partial transposition and its structural physical approximation
 basis overlap, exact two-qubit fully entangled fraction), the
 maximum-eigenvalue criterion, teleportation-fidelity bounds, and two-sided
 Dembo eigenvalue bounds from a bordered block split.
+
+Every criterion also takes a stack of states (a (k, n, n) ``mat``) or a
+vector of filter parameters, and gives per member what that member gives.
 """
 
 from __future__ import annotations
@@ -15,13 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import (
-    DimensionMismatch,
-    hermitian_eigen,
-    hermiticity_defect,
-    tensor,
-    trace_product,
-)
+from .linalg import DimensionMismatch, hermitian_eigen, hermiticity_defect, trace_product
 from .states import DensityMatrix, MaximallyEntangledVector, phi_plus, qutrit_me_basis
 
 __all__ = [
@@ -54,19 +51,33 @@ class DimensionUnsupported(ValueError):
     """Operation is only defined for a specific local dimension."""
 
 
+def _py(x):
+    """One state's value as a Python scalar; a stack's values as their array."""
+    a = np.asarray(x)
+    return a.item() if a.ndim == 0 else a
+
+
+def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot over the last axis, member by member, by the same BLAS dot."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("paper", "quarter"):
+        raise ValueError(f"variant must be 'paper' or 'quarter', got {variant!r}")
+
+
 @dataclass(frozen=True)
 class FilterOperator:
-    """Local filter diag(a, 1) on the first qubit, 0 <= a <= 1."""
+    """Local filter diag(a, 1) on the first qubit, 0 <= a <= 1; an array
+    ``a`` holds one filter per entry."""
 
-    a: float
+    a: float | np.ndarray
 
     def __post_init__(self):
-        if not 0.0 <= self.a <= 1.0:
+        a = np.asarray(self.a)
+        if not (a.min() >= 0.0 and a.max() <= 1.0):
             raise ValueError(f"filter parameter a = {self.a!r} outside [0, 1]")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag([self.a, 1.0]).astype(np.complex128)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: str = "second") -> np.ndarray:
@@ -76,23 +87,23 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "second") -> np.ndarr
     eigenvalue witnesses entanglement.
     """
     d = rho.d
-    r = rho.mat.reshape(d, d, d, d)
+    r = rho.mat.reshape(rho.mat.shape[:-2] + (d, d, d, d))
     if subsystem == "second":
-        out = r.transpose(0, 3, 2, 1)
+        out = r.swapaxes(-3, -1)
     elif subsystem == "first":
-        out = r.transpose(2, 1, 0, 3)
+        out = r.swapaxes(-4, -2)
     else:
         raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return np.ascontiguousarray(out.reshape(d * d, d * d))
+    return np.ascontiguousarray(out.reshape(rho.mat.shape))
 
 
-def _pt_min(rho: DensityMatrix) -> float:
-    return float(hermitian_eigen(partial_transpose(rho))[0])
+def _pt_min(rho: DensityMatrix) -> np.ndarray:
+    return hermitian_eigen(partial_transpose(rho))[..., 0]
 
 
 def is_npt(rho: DensityMatrix) -> bool:
     """True iff the partial transpose has an eigenvalue below -1e-10."""
-    return _pt_min(rho) < -NPT_TOL
+    return _py(_pt_min(rho) < -NPT_TOL)
 
 
 def spa_pt_2qubit(rho: DensityMatrix) -> DensityMatrix:
@@ -105,34 +116,38 @@ def spa_pt_2qubit(rho: DensityMatrix) -> DensityMatrix:
     if rho.d != 2:
         raise DimensionUnsupported(f"SPA-PT entry map is defined for d=2, got d={rho.d}")
     e = rho.mat
-    m = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(4):
-        m[i, i] = (2.0 + e[i, i]) / 9.0
-    m[0, 1] = np.conjugate(e[0, 1]) / 9.0
-    m[0, 2] = e[0, 2] / 9.0
-    m[0, 3] = e[1, 2] / 9.0
-    m[1, 2] = e[0, 3] / 9.0
-    m[1, 3] = e[1, 3] / 9.0
-    m[2, 3] = np.conjugate(e[2, 3]) / 9.0
-    for i in range(4):
-        for j in range(i):
-            m[i, j] = np.conjugate(m[j, i])
+    m = np.zeros(e.shape, dtype=np.complex128)
+    diag = np.arange(4)
+    m[..., diag, diag] = (2.0 + e[..., diag, diag]) / 9.0
+    rows, cols = (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)  # E12 ... E34, 0-based
+    src = e[..., (0, 0, 1, 0, 1, 2), (1, 2, 2, 3, 3, 3)]  # e12, e13, e23, e14, e24, e34
+    upper = np.where([True, False, False, False, False, True], src.conj(), src) / 9.0
+    m[..., rows, cols] = upper
+    m[..., cols, rows] = upper.conj()
     return DensityMatrix(m, 2)
+
+
+# the |00> and |11> amplitude of phi_2+, as phi_plus(2) holds it
+_PHI2_AMP = 1.0 / math.sqrt(2.0)
 
 
 def x_opt(filt: FilterOperator, *, unit_trace: bool = False) -> np.ndarray:
     """Rank-one operator (A x I) P(phi2+) (A^dag x I) for the diag(a, 1) filter.
 
-    Nonzero entries a^2/2, a/2, a/2, 1/2 at the four |00>/|11> corners.
-    With ``unit_trace`` the operator is scaled by 2/(1 + a^2) so its trace
-    is one, the normalization under which the SPA trace identity and the
-    equivalence of the two LOCC-value routes are exact.
+    v v^dag with v = (a|00> + |11>)/sqrt(2): nonzero entries a^2/2, a/2,
+    a/2, 1/2 at the four |00>/|11> corners; a vector of filter parameters
+    gives a (k, 4, 4) stack. With ``unit_trace`` the operator is scaled by
+    2/(1 + a^2) so its trace is one, the normalization under which the SPA
+    trace identity and the equivalence of the two LOCC-value routes are exact.
     """
-    ai = tensor(filt.matrix, np.eye(2, dtype=np.complex128))
-    v = ai @ phi_plus(2).vec
-    x = np.outer(v, v.conj())
+    a = np.asarray(filt.a, dtype=np.float64)
+    v0 = a * _PHI2_AMP
+    x = np.zeros(a.shape + (4, 4), dtype=np.complex128)
+    x[..., 0, 0] = v0 * v0
+    x[..., 0, 3] = x[..., 3, 0] = v0 * _PHI2_AMP
+    x[..., 3, 3] = _PHI2_AMP * _PHI2_AMP
     if unit_trace:
-        x = x / np.trace(x).real
+        x = x / (x[..., 0, 0].real + x[..., 3, 3].real)[..., None, None]
     return x
 
 
@@ -155,7 +170,7 @@ def f_opt_locc_pt(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool 
     if rho.d != 2:
         raise DimensionUnsupported("filtered LOCC value is defined for d=2")
     x = x_opt(filt, unit_trace=unit_trace)
-    return 0.5 - trace_product(x, partial_transpose(rho)).real
+    return _py(0.5 - trace_product(x, partial_transpose(rho)).real)
 
 
 def f_opt_locc_spa(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool = False) -> float:
@@ -170,7 +185,7 @@ def f_opt_locc_spa(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool
         raise DimensionUnsupported("filtered LOCC value is defined for d=2")
     x = x_opt(filt, unit_trace=unit_trace)
     spa = spa_pt_2qubit(rho)
-    return 2.5 - 9.0 * trace_product(x, spa.mat).real
+    return _py(2.5 - 9.0 * trace_product(x, spa.mat).real)
 
 
 def sigma_spa_threshold(re_f: float, e: float) -> float:
@@ -192,9 +207,11 @@ def optimize_filter(rho: DensityMatrix) -> tuple[float, float]:
     """
     if rho.d != 2:
         raise DimensionUnsupported("filter optimization is defined for d=2")
-    r00, re12 = float(rho.mat[0, 0].real), float(rho.mat[1, 2].real)
-    a_star = min(1.0, max(0.0, -re12 / r00)) if r00 > 0.0 else float(re12 <= 0.0)
-    return a_star, f_opt_locc_pt(rho, FilterOperator(a_star))
+    r00, re12 = rho.mat[..., 0, 0].real, rho.mat[..., 1, 2].real
+    linear = r00 <= 0.0
+    ratio = -re12 / np.where(linear, 1.0, r00)
+    a_star = np.where(linear, re12 <= 0.0, np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0))
+    return _py(a_star), f_opt_locc_pt(rho, FilterOperator(a_star))
 
 
 def singlet_fraction_basis(
@@ -212,7 +229,7 @@ def singlet_fraction_basis(
                 f"basis vector of length {b.vec.size} does not match state dim {rho.dim}"
             )
     vecs = np.array([b.vec for b in basis])
-    return float(np.einsum("ki,ij,kj->k", vecs.conj(), rho.mat, vecs).real.max())
+    return _py(np.einsum("ki,...ij,kj->...k", vecs.conj(), rho.mat, vecs).real.max(axis=-1))
 
 
 _MAGIC = np.array(
@@ -236,20 +253,21 @@ def fef_2qubit(rho: DensityMatrix) -> float:
     if rho.d != 2:
         raise DimensionUnsupported("exact fully entangled fraction is defined for d=2")
     m = _MAGIC.conj().T @ rho.mat @ _MAGIC
-    return float(hermitian_eigen(m.real.astype(np.complex128))[-1])
+    return _py(hermitian_eigen(m.real.astype(np.complex128))[..., -1])
 
 
 def max_eigenvalue(rho: DensityMatrix) -> float:
-    return float(rho.spectrum[-1])
+    return _py(rho.spectrum[..., -1])
 
 
 def fidelity_from_fraction(fraction: float, d: int) -> float:
     """Teleportation fidelity (d F + 1) / (d + 1) from a singlet fraction F."""
-    if not -1e-12 <= fraction <= 1.0 + 1e-12:
+    f = np.asarray(fraction)
+    if not (f.min() >= -1e-12 and f.max() <= 1.0 + 1e-12):
         raise ValueError(f"singlet fraction {fraction!r} outside [0, 1]")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
-    return (d * fraction + 1.0) / (d + 1.0)
+    return _py((d * f + 1.0) / (d + 1.0))
 
 
 @dataclass(frozen=True)
@@ -257,7 +275,8 @@ class DemboDecomposition:
     """Bordered block split [[R_sub, b], [b^dag, c]] of a Hermitian matrix.
 
     ``eta_low`` and ``eta_high`` bound the spectrum of R_sub from below
-    and above.
+    and above. A (k, n, n) stack splits member by member, and ``c`` and
+    the eta bounds are then arrays.
     """
 
     r_sub: np.ndarray
@@ -277,27 +296,25 @@ class DemboDecomposition:
         """Split off the last row/column; None eta bounds are computed
         exactly by eigensolving R_sub."""
         m = np.asarray(mat, dtype=np.complex128)
-        n = m.shape[0]
+        n = m.shape[-1]
         if n < 2:
             raise ValueError("Dembo split needs dim >= 2")
-        r_sub = np.ascontiguousarray(m[: n - 1, : n - 1])
-        b = np.ascontiguousarray(m[: n - 1, n - 1])
-        c = float(m[n - 1, n - 1].real)
+        r_sub = np.ascontiguousarray(m[..., : n - 1, : n - 1])
+        b = np.ascontiguousarray(m[..., : n - 1, n - 1])
         if eta_low is None or eta_high is None:
             eig = hermitian_eigen(r_sub)
-            if eta_low is None:
-                eta_low = float(eig[0])
-            if eta_high is None:
-                eta_high = float(eig[-1])
-        return cls(r_sub, b, c, float(eta_low), float(eta_high))
+            eta_low = eig[..., 0] if eta_low is None else eta_low
+            eta_high = eig[..., -1] if eta_high is None else eta_high
+        c = m[..., n - 1, n - 1].real
+        return cls(r_sub, b, *(_py(np.asarray(x, dtype=np.float64)) for x in (c, eta_low, eta_high)))
 
     def reassemble(self) -> np.ndarray:
-        n = self.r_sub.shape[0] + 1
-        m = np.zeros((n, n), dtype=np.complex128)
-        m[: n - 1, : n - 1] = self.r_sub
-        m[: n - 1, n - 1] = self.b
-        m[n - 1, : n - 1] = self.b.conj()
-        m[n - 1, n - 1] = self.c
+        n = self.r_sub.shape[-1] + 1
+        m = np.zeros(self.r_sub.shape[:-2] + (n, n), dtype=np.complex128)
+        m[..., : n - 1, : n - 1] = self.r_sub
+        m[..., : n - 1, n - 1] = self.b
+        m[..., n - 1, : n - 1] = self.b.conj()
+        m[..., n - 1, n - 1] = self.c
         return m
 
 
@@ -318,27 +335,32 @@ def dembo_bounds(
     whose printed values this toolkit reproduces. None eta bounds are
     computed exactly; pass explicit values to replay quoted numbers.
     """
-    if variant not in {"paper", "quarter"}:
-        raise ValueError(f"variant must be 'paper' or 'quarter', got {variant!r}")
+    _check_variant(variant)
     dec = DemboDecomposition.from_matrix(rho.mat, eta_low=eta_low, eta_high=eta_high)
     lower, up_paper, up_quarter = _dembo_all(dec)
-    return lower, up_paper if variant == "paper" else up_quarter
+    return _py(lower), _py(up_paper if variant == "paper" else up_quarter)
 
 
-def _dembo_all(dec: DemboDecomposition) -> tuple[float, float, float]:
-    """(lower, paper upper, quarter upper) from one split."""
-    btb = float(np.vdot(dec.b, dec.b).real)
-    lower = (dec.c + dec.eta_low) / 2.0 + math.sqrt((dec.c - dec.eta_low) ** 2 / 4.0 + btb)
-    mid, gap2 = (dec.c + dec.eta_high) / 2.0, (dec.c - dec.eta_high) ** 2
-    return lower, mid + math.sqrt(gap2 / 2.0 + btb), mid + math.sqrt(gap2 / 4.0 + btb)
+def _dembo_all(dec: DemboDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lower, paper upper, quarter upper) from one split, per member."""
+    btb = _vdot(dec.b, dec.b).real
+    # libm pow, like Python's float **; ndarray ** 2 would multiply instead
+    low2, gap2 = np.float_power((dec.c - dec.eta_low, dec.c - dec.eta_high), 2)
+    lower = (dec.c + dec.eta_low) / 2.0 + np.sqrt(low2 / 4.0 + btb)
+    mid = (dec.c + dec.eta_high) / 2.0
+    return lower, mid + np.sqrt(gap2 / 2.0 + btb), mid + np.sqrt(gap2 / 4.0 + btb)
 
 
 class Verdict(str, Enum):
+    # in the order verdict() tries the rules
     USEFUL_BY_LAMBDA_MAX = "UsefulByLambdaMax"
     USEFUL_BY_DEMBO = "UsefulByDembo"
     USEFUL_BY_SINGLET_FRACTION = "UsefulBySingletFraction"
     SEPARABLE_BY_THEOREM2 = "SeparableByTheorem2"
     INCONCLUSIVE = "Inconclusive"
+
+
+_RULE_VERDICTS = tuple(Verdict)
 
 
 @dataclass(frozen=True)
@@ -358,58 +380,54 @@ class CriterionReport:
     dembo_variant: str
 
 
-def _singlet_fraction_lower(rho: DensityMatrix) -> float:
+def _singlet_fraction_lower(rho: DensityMatrix) -> float | np.ndarray:
     if rho.d == 2:
         return fef_2qubit(rho)
     if rho.d == 3:
         return singlet_fraction_basis(rho, qutrit_me_basis())
     v = phi_plus(rho.d).vec
-    return float(np.vdot(v, rho.mat @ v).real)
+    return _py(_vdot(v, rho.mat @ v).real)
 
 
-def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport:
+def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport | list[CriterionReport]:
     """Classify a state by the weakest criterion that decides it.
 
     NPT with lam_max > 1/d is useful outright; otherwise an NPT state is
     useful when the selected Dembo upper bound clears 1/d, or when the
     singlet-fraction lower bound does. A state is reported separable only
     when it is confidently PPT and lam_max <= 1/d; everything else is
-    inconclusive.
+    inconclusive. A stack of states gives a list with one report per
+    member, each equal to the report of that member alone.
     """
+    _check_variant(dembo_variant)
     d = rho.d
+    # Python scalars for one state, (k,) arrays for a stack
     lam_max = max_eigenvalue(rho)
-    pt_min = _pt_min(rho)
+    pt_min = _py(_pt_min(rho))
     npt = pt_min < -NPT_TOL
-    ppt_confident = pt_min > NPT_TOL
 
-    lower, up_paper, up_quarter = _dembo_all(DemboDecomposition.from_matrix(rho.mat))
+    lower, up_paper, up_quarter = map(_py, _dembo_all(DemboDecomposition.from_matrix(rho.mat)))
     up_selected = up_paper if dembo_variant == "paper" else up_quarter
 
     frac = _singlet_fraction_lower(rho)
-    f_opt = optimize_filter(rho)[1] if d == 2 else None
     threshold = 1.0 / d
-
-    if npt and lam_max > threshold:
-        v = Verdict.USEFUL_BY_LAMBDA_MAX
-    elif npt and up_selected > threshold:
-        v = Verdict.USEFUL_BY_DEMBO
-    elif frac > threshold:
-        v = Verdict.USEFUL_BY_SINGLET_FRACTION
-    elif lam_max <= threshold and ppt_confident:
-        v = Verdict.SEPARABLE_BY_THEOREM2
-    else:
-        v = Verdict.INCONCLUSIVE
-
-    return CriterionReport(
-        d=d,
-        is_npt=npt,
-        lambda_max=lam_max,
-        singlet_fraction_lower=frac,
-        f_opt_locc=f_opt,
-        dembo_lower=lower,
-        dembo_upper_paper=up_paper,
-        dembo_upper_quarter=up_quarter,
-        fidelity_upper=fidelity_from_fraction(min(lam_max, 1.0), d),
-        verdict=v,
-        dembo_variant=dembo_variant,
+    rules = (
+        npt & (lam_max > threshold),
+        npt & (up_selected > threshold),
+        frac > threshold,
+        (lam_max <= threshold) & (pt_min > NPT_TOL),
+        npt | True,  # inconclusive: the rule that always fires
     )
+    first_rule = np.array(rules).argmax(axis=0)
+    fid = fidelity_from_fraction(np.minimum(lam_max, 1.0), d)
+
+    # Python floats and bools, one row per member, so the CSV writer formats them
+    floats = np.array((lam_max, frac, lower, up_paper, up_quarter, fid)).reshape(6, -1).T.tolist()
+    f_opt = np.ravel(optimize_filter(rho)[1]).tolist() if d == 2 else [None] * len(floats)
+    reports = [
+        CriterionReport(d, npt_i, lam_i, frac_i, f_i, lo_i, upp_i, upq_i, fid_i, _RULE_VERDICTS[r], dembo_variant)
+        for (lam_i, frac_i, lo_i, upp_i, upq_i, fid_i), npt_i, f_i, r in zip(
+            floats, np.ravel(npt).tolist(), f_opt, np.ravel(first_rule).tolist()
+        )
+    ]
+    return reports if rho.mat.ndim == 3 else reports[0]

@@ -2,7 +2,8 @@
 
 The eigensolver is LAPACK's Hermitian driver through
 ``np.linalg.eigvalsh``: eigenvalues only, deterministic for identical
-input and in ascending order.
+input and in ascending order. Every routine takes one (n, n) matrix or a
+(k, n, n) stack of them and works on each member alike.
 """
 
 from __future__ import annotations
@@ -35,37 +36,47 @@ class DimensionMismatch(ValueError):
 
 
 def as_complex_matrix(mat: np.ndarray) -> np.ndarray:
+    """A square matrix, or a (k, n, n) stack of them, as contiguous complex."""
     m = np.ascontiguousarray(mat, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """max |M_ij - conj(M_ji)| over all entries; inf for a non-finite entry."""
+def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
+    """max |M_ij - conj(M_ji)| over all entries; inf for a non-finite entry.
+    A stack gives one defect per member."""
     m = as_complex_matrix(mat)
-    if not np.isfinite(m).all():
+    if np.isfinite(m).all():
+        defect = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        return float(defect) if m.ndim == 2 else defect
+    if m.ndim == 2:
         return np.inf
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
+    # no inf - inf: members with a non-finite entry read inf, the rest as usual
+    finite = np.isfinite(m).all(axis=(1, 2))
+    return np.where(finite, hermiticity_defect(np.where(finite[:, None, None], m, 0.0)), np.inf)
 
 
 def hermitian_eigen(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian matrix, or of each member of a
+    (k, n, n) stack as a (k, n) array.
 
     Deterministic for identical input. Raises :class:`NotHermitian` when
-    the Hermiticity defect exceeds 1e-10, as it does for any non-finite
+    a Hermiticity defect exceeds 1e-10, as it does for any non-finite
     entry, and
     :class:`NoConvergence` when LAPACK reports no convergence.
     """
     m = as_complex_matrix(mat)
     defect = hermiticity_defect(m)
+    if m.ndim == 3:
+        defect = defect.max(initial=0.0)
     if defect > HERMITIAN_TOL:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     # eigvalsh reads one triangle only; symmetrise so both halves count
     try:
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver did not converge (n={m.shape[0]}): {exc}") from exc
+        raise NoConvergence(f"eigensolver did not converge (n={m.shape[-1]}): {exc}") from exc
 
 
 def tensor(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
@@ -75,10 +86,15 @@ def tensor(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     )
 
 
-def trace_product(amat: np.ndarray, bmat: np.ndarray) -> complex:
-    """Tr(A B) as sum_ij A_ij B_ji, without forming the matrix product."""
+def trace_product(amat: np.ndarray, bmat: np.ndarray) -> complex | np.ndarray:
+    """Tr(A B) as sum_ij A_ij B_ji, without forming the matrix product.
+
+    A stack on either side gives one trace per member; a single matrix
+    pairs with every member of the other side.
+    """
     a = as_complex_matrix(amat)
     b = as_complex_matrix(bmat)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise DimensionMismatch(f"trace_product needs equal dims, got {a.shape} and {b.shape}")
-    return complex(np.einsum("ij,ji->", a, b))
+    tr = np.einsum("...ij,...ji->...", a, b)
+    return complex(tr) if tr.ndim == 0 else tr

@@ -28,7 +28,15 @@ __all__ = [
     "random_hermitian",
     "random_psd",
     "random_density_matrix",
+    "SEED_MAX",
 ]
+
+SEED_MAX = 2**64 - 1  # seeds key uint64 Philox streams
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +49,7 @@ class SamplingBudget:
     def __post_init__(self):
         if self.n_unitaries < 1:
             raise ValueError(f"n_unitaries must be >= 1, got {self.n_unitaries}")
+        _check_seed(self.seed)
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -219,6 +228,7 @@ def inequality_harness(trials: int, seed: int, checks=None) -> HarnessReport:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_seed(seed)
     registry = DEFAULT_CHECKS if checks is None else tuple(checks)
     results = []
     for ci, (name, fn) in enumerate(registry):

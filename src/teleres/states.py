@@ -50,40 +50,20 @@ class ParseError(ValueError):
     """State file is malformed."""
 
 
-def _checked_matrix(mat: np.ndarray, d: int | None) -> tuple[np.ndarray, int]:
-    """The d^2 x d^2 complex matrix and its local dimension, once shape,
-    finiteness, Hermiticity and unit trace hold; the spectrum is checked by
-    the caller."""
-    m = linalg.as_complex_matrix(mat)
-    n = m.shape[0]
-    if d is None:
-        d = math.isqrt(n)
-    if d < 2 or d * d != n:
-        raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
-    if not np.isfinite(m).all():
-        raise NotAState("matrix has a non-finite entry (NaN or inf)")
-
-    defect = linalg.hermiticity_defect(m)
-    if defect > linalg.HERMITIAN_TOL:
-        raise NotAState(f"not Hermitian: defect {defect:.3e}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotAState(f"trace is {tr.real:.15f}, not 1")
-    return m, int(d)
-
-
 class DensityMatrix:
     """A d x d bipartite state: Hermitian, unit trace, PSD within tolerance.
 
     ``mat`` is the d^2 x d^2 matrix, ``d`` the local dimension and
     ``spectrum`` the ascending eigenvalues computed at validation time.
+    A (k, n, n) ``mat`` is a stack of k states of one family, validated in
+    one pass; ``spectrum`` is then (k, n), and every criterion taking a
+    state takes the stack and gives one value per member.
     """
 
     __slots__ = ("mat", "d", "spectrum")
 
     def __init__(self, mat: np.ndarray, d: int | None = None, *, psd_tol: float = PSD_TOL):
-        m, d = _checked_matrix(mat, d)
-        self._accept(m, d, hermitian_eigen(m), psd_tol)
+        self._validate(mat, d, None, psd_tol)
 
     @classmethod
     def _with_spectrum(cls, mat: np.ndarray, d: int, spectrum: np.ndarray) -> DensityMatrix:
@@ -93,24 +73,51 @@ class DensityMatrix:
         The audit oracle passes a spectrum from its own eigenvalue route
         here, so that it never runs the eigensolver it audits.
         """
-        m, d = _checked_matrix(mat, d)
         state = cls.__new__(cls)
-        state._accept(m, d, spectrum, PSD_TOL)
+        state._validate(mat, d, spectrum, PSD_TOL)
         return state
 
-    def _accept(self, m: np.ndarray, d: int, spectrum: np.ndarray, psd_tol: float) -> None:
-        lam_min = float(spectrum[0])
-        lam_max = float(spectrum[-1])
-        if lam_min < -psd_tol:
-            raise NotAState(f"not positive semidefinite: min eigenvalue {lam_min:.3e}")
-        if lam_max > 1.0 + THEOREM_BOUND_TOL:
-            raise NotAState(f"max eigenvalue {lam_max:.12f} exceeds 1")
-        if lam_max < 1.0 / (d * d) - THEOREM_BOUND_TOL:
-            raise NotAState(f"max eigenvalue {lam_max:.12f} below 1/d^2")
+    def _validate(self, mat, d: int | None, spectrum: np.ndarray | None, psd_tol: float) -> None:
+        """Check shape, finiteness, Hermiticity, trace and spectrum of all members
+        at once; the error is the first failing member's first failing check."""
+        m = linalg.as_complex_matrix(mat)
+        n = m.shape[-1]
+        if d is None:
+            d = math.isqrt(n)
+        if d < 2 or d * d != n:
+            raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
+        # one state is checked as a stack of one: every quantity is per member
+        stack = m.reshape(-1, n, n)
+        defect = np.reshape(linalg.hermiticity_defect(m), -1)  # inf where an entry is not finite
+        hermitian = defect <= linalg.HERMITIAN_TOL
+        # members that fail before the spectrum are solved as zero matrices
+        safe = stack if hermitian.all() else np.where(hermitian[:, None, None], stack, 0.0)
+        tr = safe.trace(axis1=1, axis2=2)
+        if spectrum is None:
+            spectrum = hermitian_eigen(safe.reshape(m.shape))
+        lam = spectrum.reshape(-1, n)
+        failed = np.array((
+            ~hermitian,
+            abs(tr - 1.0) > TRACE_TOL,
+            lam[:, 0] < -psd_tol,
+            lam[:, -1] > 1.0 + THEOREM_BOUND_TOL,
+            lam[:, -1] < 1.0 / (d * d) - THEOREM_BOUND_TOL,
+        ))
+        if failed.any():
+            i = int(failed.any(axis=0).argmax())
+            raise NotAState((
+                "matrix has a non-finite entry (NaN or inf)"
+                if not np.isfinite(stack[i]).all()
+                else f"not Hermitian: defect {defect[i]:.3e}",
+                f"trace is {tr[i].real:.15f}, not 1",
+                f"not positive semidefinite: min eigenvalue {lam[i, 0]:.3e}",
+                f"max eigenvalue {lam[i, -1]:.12f} exceeds 1",
+                f"max eigenvalue {lam[i, -1]:.12f} below 1/d^2",
+            )[int(failed[:, i].argmax())])
 
         m.setflags(write=False)
         self.mat = m
-        self.d = d
+        self.d = int(d)
         self.spectrum = spectrum
 
     @property
@@ -118,7 +125,7 @@ class DensityMatrix:
         return self.d * self.d
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"DensityMatrix(d={self.d}, lam_max={self.spectrum[-1]:.6f})"
+        return f"DensityMatrix(d={self.d}, lam_max={np.array2string(self.spectrum[..., -1], precision=6)})"
 
 
 class MaximallyEntangledVector:
@@ -191,60 +198,65 @@ def rho1() -> DensityMatrix:
     return DensityMatrix(m, 2)
 
 
-def rho2(a: float) -> DensityMatrix:
+def _family_params(name: str, value, lo: float, hi: float, *, open_lo: bool = False) -> np.ndarray:
+    """The parameter, or array of parameters, of a family, once each lies
+    in its interval; the error names the first one that does not."""
+    p = np.asarray(value, dtype=np.float64)
+    ok = ((p > lo) if open_lo else (p >= lo)) & (p <= hi)
+    if not ok.all():
+        bad = value if p.ndim == 0 else float(p.ravel()[np.argmin(ok.ravel())])
+        raise ValueError(f"{name} = {bad!r} outside {'(' if open_lo else '['}{lo}, {hi}]")
+    return p
+
+
+def rho2(a: float | np.ndarray) -> DensityMatrix:
     """Two-qutrit family on 0.35 <= a <= 0.369 with -0.22 couplings.
 
     The printed interval slightly overshoots exact positivity near its top
     end (min eigenvalue ~ -1.2e-4 at a = 0.369), so the PSD floor is
-    relaxed to RHO2_PSD_TOL for this family.
+    relaxed to RHO2_PSD_TOL for this family. An array of parameters gives
+    the stack of their states, as do the other sweep families.
     """
-    if not 0.35 <= a <= 0.369:
-        raise ValueError(f"a = {a!r} outside [0.35, 0.369]")
-    m = np.zeros((9, 9), dtype=np.complex128)
-    m[0, 0] = (1.0 - a) / 2.0
-    m[4, 4] = 0.5 - a
-    m[5, 5] = a
-    m[8, 8] = a / 2.0
-    m[0, 8] = m[8, 0] = -0.22
-    m[4, 5] = m[5, 4] = -0.22
+    a = _family_params("a", a, 0.35, 0.369)
+    m = np.zeros(a.shape + (9, 9), dtype=np.complex128)
+    m[..., 0, 0] = (1.0 - a) / 2.0
+    m[..., 4, 4] = 0.5 - a
+    m[..., 5, 5] = a
+    m[..., 8, 8] = a / 2.0
+    m[..., 0, 8] = m[..., 8, 0] = -0.22
+    m[..., 4, 5] = m[..., 5, 4] = -0.22
     return DensityMatrix(m, 3, psd_tol=RHO2_PSD_TOL)
 
 
-def rho3(a: float) -> DensityMatrix:
+def rho3(a: float | np.ndarray) -> DensityMatrix:
     """Two-qutrit family on 0.5 <= a <= 0.65 with 0.015 corner couplings."""
-    if not 0.5 <= a <= 0.65:
-        raise ValueError(f"a = {a!r} outside [0.5, 0.65]")
-    m = np.zeros((9, 9), dtype=np.complex128)
-    m[0, 0] = a / 2.0
-    m[1, 1] = a / 2.0
-    m[7, 7] = (1.0 - a) / 2.0
-    m[8, 8] = (1.0 - a) / 2.0
-    m[0, 8] = m[8, 0] = 0.015
+    a = _family_params("a", a, 0.5, 0.65)
+    m = np.zeros(a.shape + (9, 9), dtype=np.complex128)
+    m[..., 0, 0] = a / 2.0
+    m[..., 1, 1] = a / 2.0
+    m[..., 7, 7] = (1.0 - a) / 2.0
+    m[..., 8, 8] = (1.0 - a) / 2.0
+    m[..., 0, 8] = m[..., 8, 0] = 0.015
     return DensityMatrix(m, 3)
 
 
-def rho_alpha(alpha: float) -> DensityMatrix:
+def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
     """Two-qutrit mixture 2/7 P(phi3+) + alpha/7 s+ + (5-alpha)/7 s-, 4 < alpha <= 5.
 
     s+ and s- are the uniform mixtures of {|01>,|12>,|20>} and
     {|10>,|21>,|02>} respectively.
     """
-    if not 4.0 < alpha <= 5.0:
-        raise ValueError(f"alpha = {alpha!r} outside (4, 5]")
-    m = (2.0 / 7.0) * phi_plus(3).projector()
-    plus = [(0, 1), (1, 2), (2, 0)]
-    minus = [(1, 0), (2, 1), (0, 2)]
-    for i, j in plus:
-        m[3 * i + j, 3 * i + j] += alpha / 21.0
-    for i, j in minus:
-        m[3 * i + j, 3 * i + j] += (5.0 - alpha) / 21.0
+    alpha = _family_params("alpha", alpha, 4, 5, open_lo=True)
+    m = np.zeros(alpha.shape + (9, 9), dtype=np.complex128) + (2.0 / 7.0) * phi_plus(3).projector()
+    plus, minus = [1, 5, 6], [3, 7, 2]  # |01>, |12>, |20> and |10>, |21>, |02>
+    m[..., plus, plus] += (alpha / 21.0)[..., None]
+    m[..., minus, minus] += ((5.0 - alpha) / 21.0)[..., None]
     return DensityMatrix(m, 3)
 
 
-def noisy_singlet(p: float, d: int) -> DensityMatrix:
+def noisy_singlet(p: float | np.ndarray, d: int) -> DensityMatrix:
     """Isotropic mixture p P(phi_d+) + (1 - p) I / d^2."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p!r} outside [0, 1]")
+    p = _family_params("p", p, 0, 1)[..., None, None]
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     m = p * phi_plus(d).projector() + (1.0 - p) * np.eye(d * d, dtype=np.complex128) / (d * d)

@@ -563,6 +563,13 @@ def test_verdict_eigensolves_each_matrix_once(monkeypatch):
         assert sorted(sizes) == expected
 
 
+def test_verdict_rejects_unknown_dembo_variant():
+    with pytest.raises(ValueError, match="variant must be 'paper' or 'quarter', got 'half'"):
+        verdict(rho3(0.65), "half")
+    with pytest.raises(ValueError, match="variant must be 'paper' or 'quarter', got 'half'"):
+        dembo_bounds(rho3(0.65), "half")
+
+
 def test_verdict_d4_uses_phi_plus_overlap():
     rep = verdict(noisy_singlet(0.9, 4))
     assert rep.d == 4

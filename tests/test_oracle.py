@@ -154,6 +154,16 @@ def test_harness_zero_violations():
         assert 0 <= c.worst_trial < 300
 
 
+def test_seeds_outside_uint64_are_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+            SamplingBudget(1, seed=seed)
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+            inequality_harness(1, seed)
+    assert SamplingBudget(1, seed=2**64 - 1).seed == 2**64 - 1
+    assert inequality_harness(1, 2**64 - 1).total_violations == 0
+
+
 def test_harness_deterministic():
     a = inequality_harness(50, seed=9)
     b = inequality_harness(50, seed=9)

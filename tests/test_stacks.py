@@ -1,0 +1,279 @@
+"""A (k, n, n) stack of states runs the same code as one state.
+
+Every criterion that takes a state also takes a stack and must give, for
+each member, exactly (==) what it gives for that member alone; the CLI
+classifies a whole family as one stack.
+"""
+
+import importlib
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from teleres import (
+    DensityMatrix,
+    FilterOperator,
+    NotAState,
+    dembo_bounds,
+    f_opt_locc_pt,
+    f_opt_locc_spa,
+    fef_2qubit,
+    is_npt,
+    max_eigenvalue,
+    noisy_singlet,
+    optimize_filter,
+    partial_transpose,
+    qutrit_me_basis,
+    rho2,
+    rho3,
+    rho_alpha,
+    sigma_family,
+    singlet_fraction_basis,
+    spa_pt_2qubit,
+    verdict,
+    x_opt,
+)
+from teleres import cli, criteria, states
+from teleres.linalg import NotHermitian, hermitian_eigen, hermiticity_defect, trace_product
+from teleres.oracle import _rng, random_density_matrix
+
+ROOT = Path(__file__).resolve().parents[1]
+
+FAMILIES = (
+    ("rho2", rho2, np.linspace(0.35, 0.369, 40)),
+    ("rho3", rho3, np.linspace(0.5, 0.65, 40)),
+    ("rho_alpha", rho_alpha, np.linspace(4.01, 5.0, 40)),
+    ("noisy_singlet_d2", lambda p: noisy_singlet(p, 2), np.linspace(0.0, 1.0, 40)),
+    ("noisy_singlet_d3", lambda p: noisy_singlet(p, 3), np.linspace(0.0, 1.0, 40)),
+    ("noisy_singlet_d4", lambda p: noisy_singlet(p, 4), np.linspace(0.0, 1.0, 40)),
+)
+
+
+def _ranked_stack(d):
+    """Seeded random states of every rank 1..d^2, validated by the package
+    one by one, and the same states as one stack."""
+    singles = [
+        DensityMatrix(np.array(random_density_matrix(d, _rng(808, 97 * d + 7 * rank + i), rank=rank).mat), d)
+        for rank in range(1, d * d + 1)
+        for i in range(2)
+    ]
+    return DensityMatrix(np.stack([s.mat for s in singles]), d), singles
+
+
+# ---- states ----
+
+@pytest.mark.parametrize("name,build,params", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_family_stack_equals_members(name, build, params):
+    stack = build(params)
+    assert stack.mat.shape == (len(params), stack.dim, stack.dim)
+    assert stack.spectrum.shape == (len(params), stack.dim)
+    assert not stack.mat.flags.writeable
+    for i, p in enumerate(params):
+        one = build(float(p))
+        assert one.mat.shape == (one.dim, one.dim)
+        assert np.array_equal(stack.mat[i], one.mat)
+        assert np.array_equal(stack.spectrum[i], one.spectrum)
+
+
+def test_family_stack_range_check_names_first_bad_parameter():
+    with pytest.raises(ValueError, match=r"a = 0\.7 outside \[0\.5, 0\.65\]"):
+        rho3(np.array([0.5, 0.7, 0.8]))
+    with pytest.raises(ValueError, match=r"alpha = 4\.0 outside \(4, 5\]"):
+        rho_alpha(np.array([4.5, 4.0]))
+    with pytest.raises(ValueError, match=r"p = nan outside \[0, 1\]"):
+        noisy_singlet(np.array([0.5, np.nan]), 3)
+
+
+def test_rho2_stack_keeps_its_relaxed_psd_floor():
+    # the top of the printed interval is marginally non-PSD; the stack
+    # admits it exactly as the single-state builder does
+    stack = rho2(np.array([0.35, 0.369]))
+    assert stack.spectrum[1, 0] < -1e-4
+    with pytest.raises(NotAState, match="positive semidefinite"):
+        DensityMatrix(np.array(stack.mat), 3)
+
+
+def _scalar_message(mat, d):
+    with pytest.raises(NotAState) as info:
+        DensityMatrix(mat, d)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "non_psd", "trace", "non_hermitian"])
+def test_stack_with_one_bad_member_raises_its_scalar_message(bad):
+    mats = np.array(noisy_singlet(np.linspace(0.1, 0.9, 6), 3).mat)
+    broken = mats[3].copy()
+    if bad == "nan":
+        broken[2, 5] = np.nan
+    elif bad == "inf":
+        broken[0, 0] = np.inf
+    elif bad == "non_psd":
+        broken[0, 0] += 0.3
+        broken[1, 1] -= 0.3
+    elif bad == "trace":
+        broken[4, 4] += 1e-6
+    else:
+        broken[0, 1] += 1e-6
+    mats[3] = broken
+    expected = _scalar_message(broken, 3)
+    with pytest.raises(NotAState) as info:
+        DensityMatrix(mats, 3)
+    assert str(info.value) == expected
+
+
+def test_stack_error_names_first_bad_member_across_checks():
+    # member 1 fails only its spectrum check, member 3 an earlier check
+    mats = np.array(noisy_singlet(np.linspace(0.1, 0.9, 5), 3).mat)
+    mats[1, 0, 0] += 0.3
+    mats[1, 1, 1] -= 0.3
+    mats[3, 2, 2] = np.nan
+    with pytest.raises(NotAState) as info:
+        DensityMatrix(mats, 3)
+    assert str(info.value) == _scalar_message(mats[1], 3)
+
+
+# ---- linalg ----
+
+def test_linalg_stack_is_member_by_member(rng):
+    g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    h = g + g.conj().swapaxes(-1, -2)
+    stacked = hermitian_eigen(h)
+    assert stacked.shape == (5, 6)
+    for i in range(5):
+        assert np.array_equal(stacked[i], hermitian_eigen(h[i]))
+        assert trace_product(h, g)[i] == trace_product(h[i], g[i])
+        assert trace_product(h[0], g)[i] == trace_product(h[0], g[i])
+    assert isinstance(hermiticity_defect(h[0]), float)
+    assert isinstance(trace_product(h[0], g[0]), complex)
+
+
+def test_hermiticity_defect_per_member_without_warnings():
+    h = np.zeros((3, 2, 2), dtype=complex)
+    h[1, 0, 1] = 1e-3
+    h[2, 0, 0] = np.inf
+    h[2, 1, 1] = -np.inf
+    np.testing.assert_array_equal(hermiticity_defect(h), [0.0, 1e-3, np.inf])
+    with pytest.raises(NotHermitian, match="1.000e-03"):
+        hermitian_eigen(h[:2])
+
+
+# ---- criteria ----
+
+@pytest.mark.parametrize("name,build,params", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_family_verdicts_equal_single_state_verdicts(name, build, params):
+    stack = build(params)
+    for variant in ("paper", "quarter"):
+        reports = verdict(stack, variant)
+        assert len(reports) == len(params)
+        for report, p in zip(reports, params):
+            assert report == verdict(build(float(p)), variant)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_random_verdicts_of_every_rank_equal_single_state_verdicts(d):
+    stack, singles = _ranked_stack(d)
+    for variant in ("paper", "quarter"):
+        for report, one in zip(verdict(stack, variant), singles):
+            assert report == verdict(one, variant)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_stacked_criteria_equal_single_state_values(d):
+    stack, singles = _ranked_stack(d)
+    pt = partial_transpose(stack)
+    npt = is_npt(stack)
+    lam = max_eigenvalue(stack)
+    lower, upper = dembo_bounds(stack, "quarter")
+    for i, one in enumerate(singles):
+        assert np.array_equal(pt[i], partial_transpose(one))
+        assert npt[i] == is_npt(one)
+        assert lam[i] == max_eigenvalue(one)
+        assert (lower[i], upper[i]) == dembo_bounds(one, "quarter")
+    if d == 2:
+        fef = fef_2qubit(stack)
+        a_star, f_star = optimize_filter(stack)
+        spa = spa_pt_2qubit(stack)
+        for i, one in enumerate(singles):
+            assert fef[i] == fef_2qubit(one)
+            assert (a_star[i], f_star[i]) == optimize_filter(one)
+            assert np.array_equal(spa.mat[i], spa_pt_2qubit(one).mat)
+    if d == 3:
+        frac = singlet_fraction_basis(stack, qutrit_me_basis())
+        for i, one in enumerate(singles):
+            assert frac[i] == singlet_fraction_basis(one, qutrit_me_basis())
+
+
+def test_filter_routes_take_a_vector_of_filter_parameters():
+    sig = sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j)
+    a = np.linspace(0.0, 1.0, 33)
+    for unit_trace in (False, True):
+        x = x_opt(FilterOperator(a), unit_trace=unit_trace)
+        spa = f_opt_locc_spa(sig, FilterOperator(a), unit_trace=unit_trace)
+        pt = f_opt_locc_pt(sig, FilterOperator(a), unit_trace=unit_trace)
+        assert x.shape == (33, 4, 4) and spa.shape == pt.shape == (33,)
+        for i, ai in enumerate(a.tolist()):
+            flt = FilterOperator(ai)
+            assert np.array_equal(x[i], x_opt(flt, unit_trace=unit_trace))
+            assert spa[i] == f_opt_locc_spa(sig, flt, unit_trace=unit_trace)
+            assert pt[i] == f_opt_locc_pt(sig, flt, unit_trace=unit_trace)
+    with pytest.raises(ValueError, match="outside"):
+        FilterOperator(np.array([0.5, 1.5]))
+
+
+def test_x_opt_closed_form_matches_filtered_projector():
+    # (A x I)|phi2+> with A = diag(a, 1), built the long way
+    for a in (0.0, 0.3, 0.78, 1.0):
+        v = np.kron(np.diag([a, 1.0]), np.eye(2)) @ np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        np.testing.assert_allclose(x_opt(FilterOperator(a)), np.outer(v, v), atol=1e-16)
+
+
+# ---- cli ----
+
+def test_sweep_eigensolves_a_whole_family_a_constant_number_of_times(tmp_path, monkeypatch):
+    sizes = []
+
+    def counting(mat):
+        sizes.append(np.shape(mat))
+        return hermitian_eigen(mat)
+
+    monkeypatch.setattr(criteria, "hermitian_eigen", counting)
+    monkeypatch.setattr(states, "hermitian_eigen", counting)
+    quantities = ",".join(cli._REPORT_QUANTITIES)
+    for steps in (20, 200):
+        sizes.clear()
+        argv = ["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", str(steps),
+                "--quantities", quantities, "-o", str(tmp_path / "rho3.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        # the state stack, its partial transposes and its R_sub blocks
+        assert sorted(sizes) == [(steps, 8, 8), (steps, 9, 9), (steps, 9, 9)]
+
+
+def _cells_match(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        return math.isclose(float(got), float(want), rel_tol=1e-9, abs_tol=1e-12)
+    except ValueError:
+        return False
+
+
+def test_catalog_csvs_match_golden_files(tmp_path, monkeypatch):
+    # the argv lists of the benchmark's catalog workload; its directory is only read
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT))
+    targets = importlib.import_module("perfbench.workloads").CATALOG_TARGETS
+    assert len(targets) == 13
+    for stem, _, args in targets:
+        out = tmp_path / f"{stem}.csv"
+        assert cli.main([*args, "-o", str(out)]) == cli.EXIT_OK, stem
+        got = out.read_text(encoding="utf-8").splitlines()
+        want = (ROOT / "perfbench" / "golden" / f"{stem}.csv").read_text(encoding="utf-8").splitlines()
+        assert len(got) == len(want), stem
+        for line, (g_row, w_row) in enumerate(zip(got, want), 1):
+            g_cells, w_cells = g_row.split(","), w_row.split(",")
+            assert len(g_cells) == len(w_cells), (stem, line)
+            for g, w in zip(g_cells, w_cells):
+                assert _cells_match(g, w), (stem, line, g, w)
