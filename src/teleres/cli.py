@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -56,13 +57,8 @@ MAX_STEPS = 1_000_000
 
 REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
 
-_FAMILY_RANGES = {
-    "sigma": (0.0, 1.0),
-    "rho2": (0.35, 0.369),
-    "rho3": (0.5, 0.65),
-    "rho_alpha": (4.0, 5.0),
-    "noisy_singlet": (0.0, 1.0),
-}
+# (lo, hi, open at lo): sigma sweeps the filter parameter, the others their builder's parameter
+_FAMILY_RANGES = {"sigma": (0.0, 1.0, False), **states.FAMILY_INTERVALS}
 
 _REPORT_QUANTITIES = (
     "lambda_max",
@@ -96,11 +92,10 @@ class SweepSpec:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not 2 <= self.steps <= MAX_STEPS:
             raise InvalidSpec(f"need 2 <= steps <= {MAX_STEPS}, got {self.steps}")
-        vlo, vhi = _FAMILY_RANGES[self.family]
-        if self.lo < vlo - 1e-12 or self.hi > vhi + 1e-12:
-            raise InvalidSpec(
-                f"range [{self.lo}, {self.hi}] outside validity [{vlo}, {vhi}] of {self.family}"
-            )
+        vlo, vhi, open_lo = _FAMILY_RANGES[self.family]
+        if not ((self.lo > vlo if open_lo else self.lo >= vlo) and self.hi <= vhi):
+            interval = f"{'(' if open_lo else '['}{vlo}, {vhi}]"
+            raise InvalidSpec(f"range [{self.lo}, {self.hi}] outside {interval} of {self.family}")
         if not self.quantities:
             raise InvalidSpec("quantity list is empty")
         allowed = set(_REPORT_QUANTITIES)
@@ -324,6 +319,7 @@ def _int_at_least(low: int, high: float = math.inf):
     return parse
 
 
+@functools.cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="teleres", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -214,9 +214,7 @@ def optimize_filter(rho: DensityMatrix) -> tuple[float, float]:
     return _py(a_star), f_opt_locc_pt(rho, FilterOperator(a_star))
 
 
-def singlet_fraction_basis(
-    rho: DensityMatrix, basis: list[MaximallyEntangledVector]
-) -> float:
+def singlet_fraction_basis(rho: DensityMatrix, basis: list[MaximallyEntangledVector]) -> float:
     """Max overlap <B|rho|B> over the supplied maximally entangled set.
 
     A lower bound on the fully entangled fraction.
@@ -233,13 +231,7 @@ def singlet_fraction_basis(
 
 
 _MAGIC = np.array(
-    [
-        [1, 0, 0, 1],
-        [1j, 0, 0, -1j],
-        [0, 1j, 1j, 0],
-        [0, 1, -1, 0],
-    ],
-    dtype=np.complex128,
+    [[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1j, 1j, 0], [0, 1, -1, 0]], dtype=np.complex128
 ).T / math.sqrt(2.0)
 
 
@@ -287,11 +279,7 @@ class DemboDecomposition:
 
     @classmethod
     def from_matrix(
-        cls,
-        mat: np.ndarray,
-        *,
-        eta_low: float | None = None,
-        eta_high: float | None = None,
+        cls, mat: np.ndarray, *, eta_low: float | None = None, eta_high: float | None = None
     ) -> "DemboDecomposition":
         """Split off the last row/column; None eta bounds are computed
         exactly by eigensolving R_sub."""

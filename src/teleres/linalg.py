@@ -63,8 +63,7 @@ def hermitian_eigen(mat: np.ndarray) -> np.ndarray:
 
     Deterministic for identical input. Raises :class:`NotHermitian` when
     a Hermiticity defect exceeds 1e-10, as it does for any non-finite
-    entry, and
-    :class:`NoConvergence` when LAPACK reports no convergence.
+    entry, and :class:`NoConvergence` when LAPACK reports no convergence.
     """
     m = as_complex_matrix(mat)
     defect = hermiticity_defect(m)
@@ -81,9 +80,7 @@ def hermitian_eigen(mat: np.ndarray) -> np.ndarray:
 
 def tensor(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
     """Kronecker product, subsystem-A-major: |i_A i_B> -> i_A * d_B + i_B."""
-    return np.kron(
-        np.asarray(amat, dtype=np.complex128), np.asarray(bmat, dtype=np.complex128)
-    )
+    return np.kron(np.asarray(amat, dtype=np.complex128), np.asarray(bmat, dtype=np.complex128))
 
 
 def trace_product(amat: np.ndarray, bmat: np.ndarray) -> complex | np.ndarray:

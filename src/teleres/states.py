@@ -198,9 +198,19 @@ def rho1() -> DensityMatrix:
     return DensityMatrix(m, 2)
 
 
-def _family_params(name: str, value, lo: float, hi: float, *, open_lo: bool = False) -> np.ndarray:
+# (lo, hi, open at lo): the parameter interval of each family's builder
+FAMILY_INTERVALS = {
+    "rho2": (0.35, 0.369, False),
+    "rho3": (0.5, 0.65, False),
+    "rho_alpha": (4, 5, True),
+    "noisy_singlet": (0, 1, False),
+}
+
+
+def _family_params(name: str, value, family: str) -> np.ndarray:
     """The parameter, or array of parameters, of a family, once each lies
     in its interval; the error names the first one that does not."""
+    lo, hi, open_lo = FAMILY_INTERVALS[family]
     p = np.asarray(value, dtype=np.float64)
     ok = ((p > lo) if open_lo else (p >= lo)) & (p <= hi)
     if not ok.all():
@@ -217,7 +227,7 @@ def rho2(a: float | np.ndarray) -> DensityMatrix:
     relaxed to RHO2_PSD_TOL for this family. An array of parameters gives
     the stack of their states, as do the other sweep families.
     """
-    a = _family_params("a", a, 0.35, 0.369)
+    a = _family_params("a", a, "rho2")
     m = np.zeros(a.shape + (9, 9), dtype=np.complex128)
     m[..., 0, 0] = (1.0 - a) / 2.0
     m[..., 4, 4] = 0.5 - a
@@ -230,7 +240,7 @@ def rho2(a: float | np.ndarray) -> DensityMatrix:
 
 def rho3(a: float | np.ndarray) -> DensityMatrix:
     """Two-qutrit family on 0.5 <= a <= 0.65 with 0.015 corner couplings."""
-    a = _family_params("a", a, 0.5, 0.65)
+    a = _family_params("a", a, "rho3")
     m = np.zeros(a.shape + (9, 9), dtype=np.complex128)
     m[..., 0, 0] = a / 2.0
     m[..., 1, 1] = a / 2.0
@@ -246,7 +256,7 @@ def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
     s+ and s- are the uniform mixtures of {|01>,|12>,|20>} and
     {|10>,|21>,|02>} respectively.
     """
-    alpha = _family_params("alpha", alpha, 4, 5, open_lo=True)
+    alpha = _family_params("alpha", alpha, "rho_alpha")
     m = np.zeros(alpha.shape + (9, 9), dtype=np.complex128) + (2.0 / 7.0) * phi_plus(3).projector()
     plus, minus = [1, 5, 6], [3, 7, 2]  # |01>, |12>, |20> and |10>, |21>, |02>
     m[..., plus, plus] += (alpha / 21.0)[..., None]
@@ -256,9 +266,7 @@ def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
 
 def noisy_singlet(p: float | np.ndarray, d: int) -> DensityMatrix:
     """Isotropic mixture p P(phi_d+) + (1 - p) I / d^2."""
-    p = _family_params("p", p, 0, 1)[..., None, None]
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    p = _family_params("p", p, "noisy_singlet")[..., None, None]
     m = p * phi_plus(d).projector() + (1.0 - p) * np.eye(d * d, dtype=np.complex128) / (d * d)
     return DensityMatrix(m, d)
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from teleres import noisy_singlet, rho1, rho3, save_state, verdict
+from teleres import cli, noisy_singlet, rho1, rho3, save_state, verdict
 from teleres.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -252,11 +252,19 @@ def test_sweep_out_of_validity_range(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_sweep_bad_steps_and_order(tmp_path):
+def test_sweep_bad_steps_and_order(tmp_path, capsys):
     base = ["sweep", "--family", "rho3", "--quantities", "lambda_max", "-o", str(tmp_path / "x.csv")]
     assert main(base + ["--from", "0.5", "--to", "0.65", "--steps", "1"]) == EXIT_USAGE
     assert main(base + ["--from", "0.65", "--to", "0.5", "--steps", "4"]) == EXIT_USAGE
     assert main(base + ["--from", "0.5", "--to", "0.65", "--steps", "1000001"]) == EXIT_USAGE
+    # rho_alpha's interval is (4, 5]: its open end and any overshoot are usage errors
+    alpha = ["sweep", "--family", "rho_alpha", "--steps", "3", "--quantities", "lambda_max",
+             "-o", str(tmp_path / "a.csv")]
+    capsys.readouterr()
+    for lo, hi in (("4", "5"), ("4.5", "5.0000000000001")):
+        assert main(alpha + ["--from", lo, "--to", hi]) == EXIT_USAGE
+        assert "error: invalid sweep spec" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_sweep_unknown_quantity(tmp_path):
@@ -323,6 +331,26 @@ def test_audit_injected_violation_exit_3(capsys):
 
 
 # ---- argv plumbing ----
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
+    path = _write(tmp_path, "rho1.json", rho1())
+    calls = (["analyze", path, "--json"], ["audit", "--trials", "0"], ["analyze", path])
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    parser = cli._build_parser()
+    cached = [run(argv) for argv in calls]
+    assert cli._build_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in cached] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
+    assert cached == fresh
+
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE

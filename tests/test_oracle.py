@@ -19,7 +19,7 @@ from teleres import (
 )
 from teleres import linalg, states
 from teleres.criteria import DimensionUnsupported
-from teleres.oracle import _rng, haar_unitary, random_density_matrix
+from teleres.oracle import _haar_q, _rng, haar_unitary, random_density_matrix
 from conftest import random_state
 
 
@@ -35,6 +35,65 @@ def test_haar_unitary_is_unitary_and_deterministic():
         np.testing.assert_allclose(u @ u.conj().T, np.eye(d), atol=1e-12)
         v = haar_unitary(d, _rng(1, 0))
         np.testing.assert_array_equal(u, v)
+
+
+def _qr_haar(g):
+    """Reference Haar route: LAPACK QR, then each column times the phase of R's diagonal."""
+    q, r = np.linalg.qr(g)
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    ph /= np.abs(ph)
+    return q * ph[..., None, :]
+
+
+def _qr_sampled_singlet_fraction(rho, budget):
+    """The sampler on the reference route, drawing the same stream."""
+    d = rho.d
+    psi = phi_plus(d).vec
+    best = float(np.vdot(psi, rho.mat @ psi).real)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(budget.seed)))
+    remaining = budget.n_unitaries
+    while remaining > 0:
+        take = min(8192, remaining)
+        z = rng.standard_normal((take, 2, d, d, 2))
+        u = _qr_haar(z[..., 0] + 1j * z[..., 1])
+        vs = np.einsum("kij,kaj->kia", u[:, 0], u[:, 1]).reshape(take, d * d) / np.sqrt(d)
+        best = max(best, float(np.einsum("ki,ij,kj->k", vs.conj(), rho.mat, vs).real.max()))
+        remaining -= take
+    return best
+
+
+def test_haar_helper_matches_phase_fixed_qr():
+    rng = np.random.default_rng(2024)
+    for d in (2, 3, 4, 5):
+        g = rng.standard_normal((500, 2, d, d)) + 1j * rng.standard_normal((500, 2, d, d))
+        q = _haar_q(g.copy())
+        np.testing.assert_allclose(q, _qr_haar(g), rtol=0, atol=1e-12)
+        gram = np.swapaxes(q, -1, -2).conj() @ q
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d), gram.shape), rtol=0, atol=1e-12)
+        rng_a, rng_b = _rng(5, d), _rng(5, d)
+        g1 = rng_b.standard_normal((d, d)) + 1j * rng_b.standard_normal((d, d))
+        np.testing.assert_allclose(haar_unitary(d, rng_a), _qr_haar(g1), rtol=0, atol=1e-12)
+
+
+def test_haar_helper_stays_unitary_on_ill_conditioned_input():
+    # condition number 1e8: one Gram-Schmidt pass alone loses orthogonality
+    rng = np.random.default_rng(7)
+    for d in (3, 4, 5):
+        u, v = (_qr_haar(rng.standard_normal((200, d, d)) + 1j * rng.standard_normal((200, d, d))) for _ in range(2))
+        g = (u * np.logspace(0, -8, d)) @ np.swapaxes(v, -1, -2).conj()
+        q = _haar_q(g)
+        gram = np.swapaxes(q, -1, -2).conj() @ q
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d), gram.shape), rtol=0, atol=1e-12)
+
+
+def test_sampled_matches_qr_reference_sampler():
+    # budget 10 000 crosses the 8192-pair chunk
+    for d in (2, 3, 4):
+        rho = random_density_matrix(d, _rng(31, d))
+        for n in (1, 4096, 10_000):
+            budget = SamplingBudget(n, seed=17 + d)
+            got = sampled_singlet_fraction(rho, budget)
+            assert got == pytest.approx(_qr_sampled_singlet_fraction(rho, budget), rel=0, abs=1e-12)
 
 
 def test_random_density_matrix_validates_without_package_kernel(monkeypatch):
