@@ -7,6 +7,10 @@ the audit and the artifact form a dual route. Random streams are
 counter-based (Philox) and derived from (seed, trial index), so results
 do not depend on execution order.
 
+A harness check takes the trials' streams, each valid only until the next
+is drawn, and returns one signed margin per trial; it solves all matrices
+of one shape in one zgeev call and checks each shape's states as one stack.
+
 Haar unitaries are the Q of a complex Gaussian matrix whose R has a
 positive diagonal, which is unique (Mezzadri, Notices AMS 54, 592
 (2007)); one batched Gram-Schmidt pass with re-orthogonalisation (CGS2)
@@ -15,11 +19,13 @@ gives it for a whole stack of samples, with no QR call and no phase fix.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import criteria
+from . import criteria, linalg
 from .states import DensityMatrix, phi_plus, qutrit_me_basis
 
 __all__ = [
@@ -40,7 +46,7 @@ SEED_MAX = 2**64 - 1  # seeds key uint64 Philox streams
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed <= SEED_MAX:
+    if not 0 <= operator.index(seed) <= SEED_MAX:
         raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
 
 
@@ -52,7 +58,7 @@ class SamplingBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_unitaries < 1:
+        if operator.index(self.n_unitaries) < 1:
             raise ValueError(f"n_unitaries must be >= 1, got {self.n_unitaries}")
         _check_seed(self.seed)
 
@@ -95,17 +101,27 @@ def _spectrum(mat: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.eigvals(mat).real)
 
 
-def random_density_matrix(
-    d: int, rng: np.random.Generator, rank: int | None = None
-) -> DensityMatrix:
-    """Generic full-rank state GG^dag / Tr, or a rank-limited projector mixture."""
+def _density_draw(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """The matrix of a random state, unvalidated: GG^dag / Tr."""
     n = d * d
     cols = n if rank is None else max(1, min(rank, n))
     g = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
     m = g @ g.conj().T
     m = 0.5 * (m + m.conj().T)  # exact Hermitian symmetry, not just within tolerance
     m /= np.trace(m).real
-    return DensityMatrix._with_spectrum(m, d, _spectrum(m))
+    return m
+
+
+def _validated(m: np.ndarray) -> DensityMatrix:
+    """A state, or a (k, n, n) stack of states, checked on its own zgeev spectrum."""
+    return DensityMatrix._with_spectrum(m, math.isqrt(m.shape[-1]), _spectrum(m))
+
+
+def random_density_matrix(
+    d: int, rng: np.random.Generator, rank: int | None = None
+) -> DensityMatrix:
+    """Generic full-rank state GG^dag / Tr, or a rank-limited projector mixture."""
+    return _validated(_density_draw(d, rng, rank))
 
 
 def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> float:
@@ -117,6 +133,8 @@ def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> floa
     stream with a per-sample interleaved layout, so sample k is the same
     for every budget that reaches it.
     """
+    if rho.mat.ndim != 2:
+        raise linalg.DimensionMismatch(f"sampled_singlet_fraction takes one state, got a stack of {len(rho.mat)}")
     d = rho.d
     psi = phi_plus(d).vec
     best = float(np.vdot(psi, rho.mat @ psi).real)
@@ -141,6 +159,8 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))
     from the spectrum of rho (sy x sy) rho* (sy x sy), descending."""
+    if rho.mat.ndim != 2:
+        raise linalg.DimensionMismatch(f"wootters_concurrence takes one state, got a stack of {len(rho.mat)}")
     if rho.d != 2:
         raise criteria.DimensionUnsupported("concurrence is defined for d=2")
     r = rho.mat @ _YY @ rho.mat.conj() @ _YY
@@ -168,90 +188,121 @@ class HarnessReport:
         return sum(c.violations for c in self.checks)
 
 
-# Each check maps a per-trial Generator to its worst signed margin;
-# nonnegative means the inequality held with the stated slack to spare.
+# A margin >= 0 means the inequality held with the stated slack to spare. Draws
+# and per-trial arithmetic stay per trial, so a margin is its trial's alone.
 
-def _check_trace_sandwich(rng: np.random.Generator) -> float:
-    dim = int(rng.integers(2, 10))
-    a = random_hermitian(dim, rng)
-    b = random_psd(dim, rng)
-    w = _spectrum(a)
-    tr_ab = np.einsum("ij,ji->", a, b).real
-    tr_b = np.trace(b).real
-    return min(tr_ab - w[0] * tr_b + 1e-9, w[-1] * tr_b - tr_ab + 1e-9)
+_CHUNK = 256  # trials per check call, so that a check's stacks stay small
 
 
-def _check_weyl(rng: np.random.Generator) -> float:
-    dim = int(rng.integers(2, 10))
-    a = random_hermitian(dim, rng)
-    b = random_hermitian(dim, rng)
-    wa = _spectrum(a)
-    wb = _spectrum(b)
-    ws = _spectrum(a + b)
-    return min(ws[-1] - (wa[-1] + wb[0]) + 1e-9, (wa[-1] + wb[-1]) - ws[-1] + 1e-9)
+def _per_shape(mats: list[np.ndarray], fn) -> np.ndarray:
+    """fn over the stack of each shape among ``mats``, its rows back in ``mats`` order."""
+    rows = {}
+    shapes = [m.shape for m in mats]
+    for shape in dict.fromkeys(shapes):
+        idx = [i for i, s in enumerate(shapes) if s == shape]
+        rows.update(zip(idx, fn(np.stack([mats[i] for i in idx]))))
+    return np.array([rows[i] for i in range(len(mats))])
 
 
-def _check_lambda_max_range(rng: np.random.Generator) -> float:
-    d = int(rng.integers(2, 4))
-    rho = random_density_matrix(d, rng)
-    lam = _spectrum(rho.mat)[-1]
-    return min(lam - 1.0 / (d * d) + 1e-10, 1.0 - lam + 1e-10)
+def _extremes(stack: np.ndarray) -> np.ndarray:
+    """(lowest, highest) eigenvalue of each Hermitian matrix in ``stack``."""
+    return _spectrum(stack)[..., [0, -1]]
 
 
-def _check_fef_below_lambda_max_d2(rng: np.random.Generator) -> float:
-    rho = random_density_matrix(2, rng)
-    lam = _spectrum(rho.mat)[-1]
-    return lam - criteria.fef_2qubit(rho) + 1e-9
+def _check_trace_sandwich(streams) -> np.ndarray:
+    mats, traces = [], []
+    for rng in streams:
+        dim = int(rng.integers(2, 10))
+        a = random_hermitian(dim, rng)
+        b = random_psd(dim, rng)
+        mats.append(a)
+        traces.append((np.einsum("ij,ji->", a, b).real, np.trace(b).real))
+    lo, hi = _per_shape(mats, _extremes).T
+    tr_ab, tr_b = np.array(traces).T
+    return np.minimum(tr_ab - lo * tr_b + 1e-9, hi * tr_b - tr_ab + 1e-9)
 
 
-def _check_basis_below_lambda_max_d3(rng: np.random.Generator) -> float:
-    rho = random_density_matrix(3, rng)
-    lam = _spectrum(rho.mat)[-1]
-    return lam - criteria.singlet_fraction_basis(rho, qutrit_me_basis()) + 1e-9
+def _check_weyl(streams) -> np.ndarray:
+    mats = []
+    for rng in streams:
+        dim = int(rng.integers(2, 10))
+        a = random_hermitian(dim, rng)
+        b = random_hermitian(dim, rng)
+        mats.append(np.stack((a, b, a + b)))
+    (_, a_hi), (b_lo, b_hi), (_, s_hi) = _per_shape(mats, _extremes).transpose(1, 2, 0)
+    return np.minimum(s_hi - (a_hi + b_lo) + 1e-9, (a_hi + b_hi) - s_hi + 1e-9)
 
 
-def _check_dembo_quarter_sandwich(rng: np.random.Generator) -> float:
-    d = int(rng.integers(2, 4))
-    rho = random_density_matrix(d, rng)
-    lam = _spectrum(rho.mat)[-1]
-    lower, upper_q = criteria.dembo_bounds(rho, "quarter")
-    _, upper_p = criteria.dembo_bounds(rho, "paper")
-    return min(lam - lower + 1e-9, upper_q - lam + 1e-9, upper_p - upper_q + 1e-9)
+def _state_check(margin, d: int | None = None):
+    """The check of ``margin`` on each trial's random state, of local dimension
+    ``d`` or, if None, 2 or 3 as first drawn; validated one stack per d."""
+    def check(streams) -> np.ndarray:
+        mats = [_density_draw(int(rng.integers(2, 4)) if d is None else d, rng) for rng in streams]
+        return _per_shape(mats, lambda m: margin(_validated(m)))
+    return check
+
+
+def _lambda_max_range(rho: DensityMatrix) -> np.ndarray:
+    lam = rho.spectrum[:, -1]
+    return np.minimum(lam - 1.0 / (rho.d * rho.d) + 1e-10, 1.0 - lam + 1e-10)
+
+
+def _fef_below_lambda_max(rho: DensityMatrix) -> np.ndarray:
+    return rho.spectrum[:, -1] - criteria.fef_2qubit(rho) + 1e-9
+
+
+def _basis_below_lambda_max(rho: DensityMatrix) -> np.ndarray:
+    return rho.spectrum[:, -1] - criteria.singlet_fraction_basis(rho, qutrit_me_basis()) + 1e-9
+
+
+def _dembo_quarter_sandwich(rho: DensityMatrix) -> np.ndarray:
+    lam = rho.spectrum[:, -1]
+    lower, upper_p, upper_q = criteria._dembo_all(criteria.DemboDecomposition.from_matrix(rho.mat))
+    return np.minimum(np.minimum(lam - lower + 1e-9, upper_q - lam + 1e-9), upper_p - upper_q + 1e-9)
 
 
 DEFAULT_CHECKS = (
     ("trace_sandwich", _check_trace_sandwich),
     ("weyl_extremes", _check_weyl),
-    ("lambda_max_range", _check_lambda_max_range),
-    ("fef_below_lambda_max_d2", _check_fef_below_lambda_max_d2),
-    ("basis_bound_below_lambda_max_d3", _check_basis_below_lambda_max_d3),
-    ("dembo_quarter_sandwich", _check_dembo_quarter_sandwich),
+    ("lambda_max_range", _state_check(_lambda_max_range)),
+    ("fef_below_lambda_max_d2", _state_check(_fef_below_lambda_max, 2)),
+    ("basis_bound_below_lambda_max_d3", _state_check(_basis_below_lambda_max, 3)),
+    ("dembo_quarter_sandwich", _state_check(_dembo_quarter_sandwich)),
 )
 
 
 def inequality_harness(trials: int, seed: int, checks=None) -> HarnessReport:
     """Run every registered inequality check over seeded random instances.
 
-    Deterministic for a fixed seed; a violation is any check whose signed
-    margin goes negative. ``checks`` overrides the default registry
-    (used to exercise the failure path).
+    A check is ``fn(streams) -> margins``, called on batches of at most
+    ``_CHUNK`` trials: ``streams`` yields each trial's Generator in trial
+    order, keyed (seed, check index * trials + trial) as ``_rng`` keys it.
+    They are one Philox re-keyed in place, so each is valid only until the
+    next is drawn. A violation is a margin that is not >= 0, NaN included,
+    and the worst trial is the first NaN or else the first smallest margin.
+    ``checks`` overrides the default registry.
     """
-    if trials < 1:
+    if operator.index(trials) < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_seed(seed)
-    registry = DEFAULT_CHECKS if checks is None else tuple(checks)
+    rng = _rng(seed, 0)
+    fresh = rng.bit_generator.state  # zero counter, empty buffer
+
+    def streams(first: int, count: int):
+        for index in range(first, first + count):
+            fresh["state"]["key"] = np.array([seed, index], dtype=np.uint64)
+            rng.bit_generator.state = fresh
+            yield rng
+
     results = []
-    for ci, (name, fn) in enumerate(registry):
-        worst = np.inf
-        worst_trial = -1
-        violations = 0
-        for t in range(trials):
-            rng = _rng(seed, ci * trials + t)
-            slack = float(fn(rng))
-            if slack < worst:
-                worst = slack
-                worst_trial = t
-            if slack < 0.0:
-                violations += 1
-        results.append(CheckResult(name, trials, violations, worst, worst_trial))
+    for ci, (name, fn) in enumerate(DEFAULT_CHECKS if checks is None else checks):
+        slacks = np.hstack([
+            np.asarray(fn(streams(ci * trials + t, min(_CHUNK, trials - t))), dtype=np.float64)
+            for t in range(0, trials, _CHUNK)
+        ])
+        if slacks.shape != (trials,):
+            raise ValueError(f"check {name!r} gave {slacks.size} margins for {trials} trials")
+        worst_trial = int(np.argmin(slacks))  # the first NaN if there is one
+        violations = int(np.count_nonzero(~(slacks >= 0.0)))
+        results.append(CheckResult(name, trials, violations, float(slacks[worst_trial]), worst_trial))
     return HarnessReport(seed=seed, trials=trials, checks=results)

@@ -322,12 +322,21 @@ def test_audit_zero_trials_usage_error(tmp_path, capsys):
 
 
 def test_audit_injected_violation_exit_3(capsys):
-    code = cmd_audit(5, 1, checks=[("always_bad", lambda rng: -2.0)])
+    code = cmd_audit(5, 1, checks=[("always_bad", lambda streams: [-2.0 for _ in streams])])
     captured = capsys.readouterr()
     assert code == EXIT_AUDIT
     assert "VIOLATED" in captured.out
     assert "always_bad" in captured.out
     assert "seed=1" in captured.err
+
+
+def test_audit_nan_margin_exit_3(capsys):
+    code = cmd_audit(3, 1, checks=[("nan", lambda streams: [float("nan") for _ in streams])])
+    captured = capsys.readouterr()
+    assert code == EXIT_AUDIT
+    assert "nan: VIOLATED (3 trials, 3 violations, worst slack nan at trial 0)" in captured.out
+    assert "audit passed" not in captured.out
+    assert "audit FAILED: 3 violation(s)" in captured.err
 
 
 # ---- argv plumbing ----

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,10 @@ from teleres import (
     singlet_fraction_basis,
     wootters_concurrence,
 )
-from teleres import linalg, states
+from teleres import linalg, oracle, states
 from teleres.criteria import DimensionUnsupported
-from teleres.oracle import _haar_q, _rng, haar_unitary, random_density_matrix
+from teleres.linalg import DimensionMismatch
+from teleres.oracle import CheckResult, HarnessReport, _haar_q, _rng, haar_unitary, random_density_matrix
 from conftest import random_state
 
 
@@ -235,13 +238,139 @@ def test_harness_rejects_zero_trials():
 
 
 def test_harness_reports_injected_failure():
-    def bad(rng):
-        return -1.0
+    def bad(streams):
+        return [-1.0 for _ in streams]
 
     report = inequality_harness(10, seed=4, checks=[("always_bad", bad)])
     assert report.total_violations == 10
     assert report.checks[0].name == "always_bad"
     assert report.checks[0].worst_slack == -1.0
+
+
+def test_harness_nan_margin_is_a_violation():
+    def nan(streams):
+        return [float("nan") for _ in streams]
+
+    def mixed(streams):
+        return [(1.0, -2.0, float("nan"), -3.0)[t] for t, _ in enumerate(streams)]
+
+    report = inequality_harness(3, 1, checks=[("nan", nan)])
+    (result,) = report.checks
+    assert (result.violations, result.worst_trial) == (3, 0)
+    assert math.isnan(result.worst_slack)
+    assert report.total_violations == 3
+    # the first NaN is the worst trial, ahead of any finite margin
+    (result,) = inequality_harness(4, 1, checks=[("mixed", mixed)]).checks
+    assert (result.violations, result.worst_trial) == (3, 2)
+
+
+def test_harness_rejects_a_check_with_the_wrong_margin_count():
+    with pytest.raises(ValueError, match="gave 2 margins for 3 trials"):
+        inequality_harness(3, 1, checks=[("short", lambda streams: [0.0, 0.0])])
+
+
+def test_non_integer_seeds_and_counts_are_rejected():
+    for call in (
+        lambda: inequality_harness(2, 1.5),
+        lambda: inequality_harness(2.0, 1),
+        lambda: SamplingBudget(2.5),
+        lambda: SamplingBudget(3, seed=1.5),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    assert SamplingBudget(np.int64(3), seed=np.uint64(2**64 - 1)).n_unitaries == 3
+    assert inequality_harness(np.int64(1), np.uint64(7)) == inequality_harness(1, 7)
+
+
+def test_single_state_oracle_functions_reject_stacks():
+    stack = DensityMatrix(np.stack([phi_plus(2).projector()] * 2), 2)
+    with pytest.raises(DimensionMismatch, match="sampled_singlet_fraction takes one state, got a stack of 2"):
+        sampled_singlet_fraction(stack, SamplingBudget(4))
+    with pytest.raises(DimensionMismatch, match="wootters_concurrence takes one state, got a stack of 2"):
+        wootters_concurrence(stack)
+
+
+_CHECK_NAMES = (
+    "trace_sandwich",
+    "weyl_extremes",
+    "lambda_max_range",
+    "fef_below_lambda_max_d2",
+    "basis_bound_below_lambda_max_d3",
+    "dembo_quarter_sandwich",
+)
+
+# (worst_slack, worst_trial) per default check, as the per-trial harness
+# (one Generator and one eigvals call per matrix) reported them
+_GOLDEN_WORST = {
+    (1, 2**64 - 1): (
+        (322.8452639877521, 0),
+        (0.8989658862188187, 0),
+        (0.2387992709879876, 0),
+        (0.03636785988748517, 0),
+        (0.17713546842552272, 0),
+        (0.013323452036584277, 0),
+    ),
+    (2, 0): (
+        (9.11268888427421, 0),
+        (0.501921303343161, 1),
+        (0.19741798691340767, 0),
+        (0.06997772544113481, 1),
+        (0.12657284332098903, 1),
+        (0.0006148534412827872, 1),
+    ),
+    (7, 3): (
+        (4.845203386500248, 3),
+        (0.42880143450903635, 0),
+        (0.1878009996666059, 0),
+        (0.021602857897403377, 5),
+        (0.14976428656198043, 2),
+        (0.0035211571703086812, 5),
+    ),
+    (50, 9): (
+        (0.6219635702474439, 22),
+        (0.033491195482200725, 26),
+        (0.16897748442913424, 39),
+        (0.0020469824688417464, 20),
+        (0.06829549991306819, 22),
+        (0.00022527227789950806, 26),
+    ),
+}
+
+
+def _golden_report(trials, seed):
+    checks = [CheckResult(n, trials, 0, s, t) for n, (s, t) in zip(_CHECK_NAMES, _GOLDEN_WORST[trials, seed])]
+    return HarnessReport(seed=seed, trials=trials, checks=checks)
+
+
+@pytest.mark.parametrize("trials, seed", list(_GOLDEN_WORST))
+def test_harness_matches_per_trial_golden_reports(trials, seed):
+    assert inequality_harness(trials, seed) == _golden_report(trials, seed)
+
+
+def test_harness_report_does_not_depend_on_the_chunk_size(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 3)
+    assert inequality_harness(50, 9) == _golden_report(50, 9)
+
+
+def test_harness_streams_draw_what_rng_draws(monkeypatch):
+    monkeypatch.setattr(oracle, "_CHUNK", 4)
+    trials, seed = 10, 2**64 - 1
+    seen = {}
+
+    def draws(rng):
+        return (rng.integers(2, 10), rng.random(), *rng.standard_normal(3), rng.integers(0, 2**32))
+
+    def probe(name):
+        def check(streams):
+            batch = [draws(rng) for rng in streams]
+            seen.setdefault(name, []).extend(batch)
+            return [0.0] * len(batch)
+        return check
+
+    inequality_harness(trials, seed, checks=[("a", probe("a")), ("b", probe("b"))])
+    # check ci, trial t draws from stream (seed, ci * trials + t), across chunk ends
+    for ci, name in enumerate("ab"):
+        assert seen[name] == [draws(_rng(seed, ci * trials + t)) for t in range(trials)]
 
 
 def test_weyl_degenerate_equality():
