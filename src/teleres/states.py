@@ -320,7 +320,9 @@ def load_state(path: str | os.PathLike, *, psd_tol: float = RHO2_PSD_TOL) -> Den
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, an int over 4300 digits, deep nesting
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
     if not isinstance(doc, dict) or "d" not in doc or "entries" not in doc:
@@ -329,13 +331,18 @@ def load_state(path: str | os.PathLike, *, psd_tol: float = RHO2_PSD_TOL) -> Den
     entries = doc["entries"]
     if not isinstance(d, int) or d < 2:
         raise ParseError(f'"d" must be an integer >= 2, got {d!r}')
-    if not isinstance(entries, list) or len(entries) != d ** 4:
-        raise ParseError(f'"entries" must have length d^4 = {d ** 4}, got {len(entries)}')
+    if not isinstance(entries, list):
+        raise ParseError(f'"entries" must be a list, got {type(entries).__name__}')
+    if len(entries) != d ** 4:
+        raise ParseError(f'"entries" must have length d^4 = {d}^4, got {len(entries)}')
     try:
         pairs = np.asarray(entries, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise ParseError(f"entries must be [re, im] number pairs: {exc}") from exc
     if pairs.shape != (d ** 4, 2):
         raise ParseError(f"entries must be [re, im] pairs, got shape {pairs.shape}")
-    mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(d * d, d * d)
+    big = np.abs(pairs).max()
+    if 2.0 < big < np.inf:  # a part this large could overflow in validation; inf and NaN fail there
+        raise NotAState(f"an entry has a part of {big:.3e}; a state's entries are at most 1")
+    mat = pairs.view(np.complex128).reshape(d * d, d * d)  # (re, im) pairs, no arithmetic on inf
     return DensityMatrix(mat, d, psd_tol=psd_tol)

@@ -99,6 +99,39 @@ def test_sampled_matches_qr_reference_sampler():
             assert got == pytest.approx(_qr_sampled_singlet_fraction(rho, budget), rel=0, abs=1e-12)
 
 
+def test_haar_helper_ignores_input_memory_layout():
+    rng = np.random.default_rng(11)
+    for d in (2, 3, 5):
+        z = rng.standard_normal((40, 2, d, d, 2))
+        g = z[..., 0] + 1j * z[..., 1]
+        want = _haar_q(g)
+        for other in (np.asfortranarray(g), z.view(np.complex128)[..., 0]):
+            np.testing.assert_array_equal(_haar_q(other), want)
+        # negative strides, over the stack axes and over the matrix axes
+        flipped = np.ascontiguousarray(g[::-1, :, ::-1, ::-1])
+        np.testing.assert_array_equal(_haar_q(g[::-1, :, ::-1, ::-1]), _haar_q(flipped))
+        np.testing.assert_allclose(want, _qr_haar(g), rtol=0, atol=1e-12)
+
+
+def test_haar_helper_leaves_its_input_unchanged():
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 4):
+        z = rng.standard_normal((30, 2, d, d, 2))
+        z_before = z.copy()
+        g = z.view(np.complex128)[..., 0]  # the sampler's (re, im) view
+        q = _haar_q(g)
+        np.testing.assert_array_equal(z, z_before)
+        assert q.shape == g.shape and not np.shares_memory(q, z)
+
+
+def test_sampled_matches_qr_reference_at_d5_and_rank_one():
+    cases = ((random_density_matrix(5, _rng(32, 5)), 3000), (random_density_matrix(3, _rng(32, 3), rank=1), 10_000))
+    for rho, n in cases:
+        budget = SamplingBudget(n, seed=23)
+        got = sampled_singlet_fraction(rho, budget)
+        assert got == pytest.approx(_qr_sampled_singlet_fraction(rho, budget), rel=0, abs=1e-12)
+
+
 def test_random_density_matrix_validates_without_package_kernel(monkeypatch):
     def package_kernel(*args, **kwargs):
         raise AssertionError("the oracle ran the eigensolver it audits")
