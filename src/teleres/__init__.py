@@ -14,7 +14,6 @@ from .linalg import (
     NoConvergence,
     NotHermitian,
     hermitian_eigen,
-    tensor,
     trace_product,
 )
 from .states import (

@@ -9,7 +9,6 @@ unwritable output, 2 parse or validation failure, 3 audit violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -54,6 +53,8 @@ EXIT_VALIDATION = 2
 EXIT_AUDIT = 3
 
 MAX_STEPS = 1_000_000
+MAX_TRIALS = 1_000_000
+MAX_DIM = 8
 
 REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
 
@@ -106,23 +107,18 @@ class SweepSpec:
                 raise InvalidSpec(f"unknown quantity {q!r} for family {self.family!r}")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+def _cells(column) -> list[str]:
+    """One column (an array or a list of one type) as CSV cells: true/false
+    for bools, 12 significant digits for floats, str for anything else."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    if isinstance(values[0], bool):
+        return ["true" if v else "false" for v in values]
+    return list(map("{:.12g}".format if isinstance(values[0], float) else str, values))
 
 
-def _columns(*columns) -> list[list]:
-    """Rows of Python values from equal-length columns (arrays or lists)."""
-    return [list(row) for row in zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))]
-
-
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(path: str, header: list[str], columns: list) -> None:
+    """Write equal-length columns under ``header``, formatted column by column."""
+    lines = [",".join(header), *map(",".join, zip(*map(_cells, columns)))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -135,8 +131,7 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     rho = load_state(path)
     report = verdict(rho, dembo_variant)
     if as_json:
-        doc = dataclasses.asdict(report)
-        doc["verdict"] = report.verdict.value
+        doc = {**vars(report), "verdict": report.verdict.value}
         print(json.dumps(doc, indent=2))
         return EXIT_OK
 
@@ -158,16 +153,16 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     return EXIT_OK
 
 
-def _reproduce_rows(target: str) -> tuple[list[str], list[list]]:
+def _reproduce_columns(target: str) -> tuple[list[str], list]:
     if target == "fig1":
         a = np.linspace(0.78, 1.0, 200)
-        return ["a", "f_opt"], _columns(a, f_opt_locc_spa(_sigma1(), FilterOperator(a)))
+        return ["a", "f_opt"], [a, f_opt_locc_spa(_sigma1(), FilterOperator(a))]
 
     if target in ("fig2", "fig3"):
         a = np.linspace(0.35, 0.369, 200)
         if target == "fig2":
-            return ["a", "singlet_fraction"], _columns(a, singlet_fraction_basis(rho2(a), qutrit_me_basis()))
-        return ["a", "lambda_max"], _columns(a, max_eigenvalue(rho2(a)))
+            return ["a", "singlet_fraction"], [a, singlet_fraction_basis(rho2(a), qutrit_me_basis())]
+        return ["a", "lambda_max"], [a, max_eigenvalue(rho2(a))]
 
     header = ["quantity", "expected", "computed", "abs_diff", "reproduced"]
 
@@ -185,9 +180,7 @@ def _reproduce_rows(target: str) -> tuple[list[str], list[list]]:
             row("filter_threshold", 0.7781, sigma_spa_threshold(0.25, 0.4), 1e-4),
             row("concurrence", 2.0 * abs(0.25 + 0.1j), oracle.wootters_concurrence(sig), 1e-9),
         ]
-        return header, rows
-
-    if target == "ex_rho1":
+    elif target == "ex_rho1":
         r = rho1()
         spec = r.spectrum
         rows = [
@@ -199,9 +192,7 @@ def _reproduce_rows(target: str) -> tuple[list[str], list[list]]:
             row("singlet_fraction", 0.5, fef_2qubit(r), 1e-6),
             row("fidelity_upper", 0.7239, criteria.fidelity_from_fraction(max_eigenvalue(r), 2), 1e-4),
         ]
-        return header, rows
-
-    if target == "ex_rho3":
+    elif target == "ex_rho3":
         r = rho3(0.65)
         dec = criteria.DemboDecomposition.from_matrix(r.mat)
         _, up_paper = dembo_bounds(r, "paper", eta_high=0.325)
@@ -214,9 +205,7 @@ def _reproduce_rows(target: str) -> tuple[list[str], list[list]]:
             row("dembo_upper_quarter", 0.3265, up_quarter, 1e-3),
             row("lambda_max", 0.3265, max_eigenvalue(r), 1e-3),
         ]
-        return header, rows
-
-    if target == "ex_rho_alpha":
+    elif target == "ex_rho_alpha":
         r = rho_alpha(5.0)
         _, up_paper = dembo_bounds(r, "paper", eta_high=5.0 / 21.0)
         _, up_quarter = dembo_bounds(r, "quarter", eta_high=5.0 / 21.0)
@@ -228,14 +217,13 @@ def _reproduce_rows(target: str) -> tuple[list[str], list[list]]:
             row("dembo_upper_paper", 0.3350, up_paper, 1e-4),
             row("dembo_upper_quarter", 0.3191, up_quarter, 1e-4),
         ]
-        return header, rows
-
-    raise InvalidSpec(f"unknown reproduce target {target!r}")
+    else:
+        raise InvalidSpec(f"unknown reproduce target {target!r}")
+    return header, list(zip(*rows))
 
 
 def cmd_reproduce(target: str, out_path: str) -> int:
-    header, rows = _reproduce_rows(target)
-    _write_csv(out_path, header, rows)
+    _write_csv(out_path, *_reproduce_columns(target))
     return EXIT_OK
 
 
@@ -272,7 +260,7 @@ def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper", dim:
     else:
         reports = verdict(_sweep_states(spec.family, params, dim), dembo_variant)
         columns = [[_report_value(r, q) for r in reports] for q in spec.quantities]
-    _write_csv(out_path, ["param", *spec.quantities], _columns(params, *columns))
+    _write_csv(out_path, ["param", *spec.quantities], [params, *columns])
     return EXIT_OK
 
 
@@ -341,10 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--quantities", required=True, help="comma-separated list")
     p_sw.add_argument("-o", "--output", required=True)
     p_sw.add_argument("--dembo", choices=("paper", "quarter"), default="paper")
-    p_sw.add_argument("--dim", type=_int_at_least(2), default=3, help="local dimension for noisy_singlet")
+    p_sw.add_argument("--dim", type=_int_at_least(2, MAX_DIM), default=3,
+                      help=f"local dimension for noisy_singlet, at most {MAX_DIM}")
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
-    p_au.add_argument("--trials", type=_int_at_least(1), required=True)
+    p_au.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), required=True)
     p_au.add_argument("--seed", type=_int_at_least(0, oracle.SEED_MAX), default=0)
 
     return parser

@@ -18,6 +18,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import linalg
 from .linalg import DimensionMismatch, hermitian_eigen, hermiticity_defect, trace_product
 from .states import DensityMatrix, MaximallyEntangledVector, phi_plus, qutrit_me_basis
 
@@ -98,7 +99,8 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "second") -> np.ndarr
 
 
 def _pt_min(rho: DensityMatrix) -> np.ndarray:
-    return hermitian_eigen(partial_transpose(rho))[..., 0]
+    # rho^Gamma permutes the entries of rho, so it is as Hermitian as rho: no second check
+    return linalg._eigvalsh(partial_transpose(rho))[..., 0]
 
 
 def is_npt(rho: DensityMatrix) -> bool:
@@ -240,7 +242,8 @@ def fef_2qubit(rho: DensityMatrix) -> float:
 
     In the magic basis the maximally entangled states are exactly the real
     unit vectors (up to phase), so the maximum overlap is the top
-    eigenvalue of the real part of rho in that basis.
+    eigenvalue of the real part of rho in that basis. That real part is
+    symmetric only up to rounding, so it takes the checked eigensolver.
     """
     if rho.d != 2:
         raise DimensionUnsupported("exact fully entangled fraction is defined for d=2")
@@ -268,7 +271,9 @@ class DemboDecomposition:
 
     ``eta_low`` and ``eta_high`` bound the spectrum of R_sub from below
     and above. A (k, n, n) stack splits member by member, and ``c`` and
-    the eta bounds are then arrays.
+    the eta bounds are then arrays. The matrix is not checked for
+    Hermiticity: pass a validated state's ``mat``, whose principal block
+    R_sub is then as Hermitian as the state.
     """
 
     r_sub: np.ndarray
@@ -290,20 +295,11 @@ class DemboDecomposition:
         r_sub = np.ascontiguousarray(m[..., : n - 1, : n - 1])
         b = np.ascontiguousarray(m[..., : n - 1, n - 1])
         if eta_low is None or eta_high is None:
-            eig = hermitian_eigen(r_sub)
+            eig = linalg._eigvalsh(r_sub)
             eta_low = eig[..., 0] if eta_low is None else eta_low
             eta_high = eig[..., -1] if eta_high is None else eta_high
         c = m[..., n - 1, n - 1].real
         return cls(r_sub, b, *(_py(np.asarray(x, dtype=np.float64)) for x in (c, eta_low, eta_high)))
-
-    def reassemble(self) -> np.ndarray:
-        n = self.r_sub.shape[-1] + 1
-        m = np.zeros(self.r_sub.shape[:-2] + (n, n), dtype=np.complex128)
-        m[..., : n - 1, : n - 1] = self.r_sub
-        m[..., : n - 1, n - 1] = self.b
-        m[..., n - 1, : n - 1] = self.b.conj()
-        m[..., n - 1, n - 1] = self.c
-        return m
 
 
 def dembo_bounds(

@@ -2,8 +2,13 @@
 
 The eigensolver is LAPACK's Hermitian driver through
 ``np.linalg.eigvalsh``: eigenvalues only, deterministic for identical
-input and in ascending order. Every routine takes one (n, n) matrix or a
-(k, n, n) stack of them and works on each member alike.
+input and in ascending order. One private helper, ``_eigvalsh``, is the
+only caller of that driver. It reads one triangle and checks nothing, so
+it is called directly only on matrices known to be Hermitian: a validated
+state's symmetrised stack, its partial transpose and its principal
+blocks. :func:`hermitian_eigen` is the checked entry point for any other
+matrix. Every routine takes one (n, n) matrix or a (k, n, n) stack of
+them and works on each member alike.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ __all__ = [
     "NoConvergence",
     "DimensionMismatch",
     "hermitian_eigen",
-    "tensor",
     "trace_product",
     "hermiticity_defect",
 ]
@@ -57,6 +61,15 @@ def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
     return np.where(finite, hermiticity_defect(np.where(finite[:, None, None], m, 0.0)), np.inf)
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or stack, read from its
+    lower triangle; :class:`NoConvergence` when LAPACK does not converge."""
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver did not converge (n={m.shape[-1]}): {exc}") from exc
+
+
 def hermitian_eigen(mat: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, or of each member of a
     (k, n, n) stack as a (k, n) array.
@@ -66,21 +79,11 @@ def hermitian_eigen(mat: np.ndarray) -> np.ndarray:
     entry, and :class:`NoConvergence` when LAPACK reports no convergence.
     """
     m = as_complex_matrix(mat)
-    defect = hermiticity_defect(m)
-    if m.ndim == 3:
-        defect = defect.max(initial=0.0)
+    defect = np.max(hermiticity_defect(m), initial=0.0)
     if defect > HERMITIAN_TOL:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     # eigvalsh reads one triangle only; symmetrise so both halves count
-    try:
-        return np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver did not converge (n={m.shape[-1]}): {exc}") from exc
-
-
-def tensor(amat: np.ndarray, bmat: np.ndarray) -> np.ndarray:
-    """Kronecker product, subsystem-A-major: |i_A i_B> -> i_A * d_B + i_B."""
-    return np.kron(np.asarray(amat, dtype=np.complex128), np.asarray(bmat, dtype=np.complex128))
+    return _eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
 
 
 def trace_product(amat: np.ndarray, bmat: np.ndarray) -> complex | np.ndarray:

@@ -14,7 +14,6 @@ import os
 import numpy as np
 
 from . import linalg
-from .linalg import hermitian_eigen
 
 __all__ = [
     "DensityMatrix",
@@ -34,6 +33,9 @@ __all__ = [
 ]
 
 TRACE_TOL = 1e-12
+# no entry of a state has modulus above 1; a part above this bound is
+# rejected before any arithmetic could overflow on it
+ENTRY_BOUND = 2.0
 PSD_TOL = 1e-10
 THEOREM_BOUND_TOL = 1e-10
 
@@ -78,8 +80,14 @@ class DensityMatrix:
         return state
 
     def _validate(self, mat, d: int | None, spectrum: np.ndarray | None, psd_tol: float) -> None:
-        """Check shape, finiteness, Hermiticity, trace and spectrum of all members
-        at once; the error is the first failing member's first failing check."""
+        """Check shape, entry size, Hermiticity, trace and spectrum of all
+        members at once; the error is the first failing member's first
+        failing check.
+
+        This is the package's one Hermiticity gate: the spectrum is solved
+        from the symmetrised stack, and criteria solve matrices derived
+        from a validated state without checking them again.
+        """
         m = linalg.as_complex_matrix(mat)
         n = m.shape[-1]
         if d is None:
@@ -88,16 +96,20 @@ class DensityMatrix:
             raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
         # one state is checked as a stack of one: every quantity is per member
         stack = m.reshape(-1, n, n)
-        defect = np.reshape(linalg.hermiticity_defect(m), -1)  # inf where an entry is not finite
-        hermitian = defect <= linalg.HERMITIAN_TOL
-        # members that fail before the spectrum are solved as zero matrices
-        safe = stack if hermitian.all() else np.where(hermitian[:, None, None], stack, 0.0)
+        big = np.abs(stack.view(np.float64)).max(axis=(1, 2))
+        bounded = big <= ENTRY_BOUND  # False for NaN and inf as well
+        # members with an unbounded part are checked and solved as zero matrices
+        safe = stack if bounded.all() else np.where(bounded[:, None, None], stack, 0.0)
+        adjoint = safe.conj().swapaxes(1, 2)
+        defect = np.abs(safe - adjoint).max(axis=(1, 2))
         tr = safe.trace(axis1=1, axis2=2)
         if spectrum is None:
-            spectrum = hermitian_eigen(safe.reshape(m.shape))
+            # eigvalsh reads one triangle only; symmetrise so both halves count
+            spectrum = linalg._eigvalsh((0.5 * (safe + adjoint)).reshape(m.shape))
         lam = spectrum.reshape(-1, n)
         failed = np.array((
-            ~hermitian,
+            ~bounded,
+            defect > linalg.HERMITIAN_TOL,
             abs(tr - 1.0) > TRACE_TOL,
             lam[:, 0] < -psd_tol,
             lam[:, -1] > 1.0 + THEOREM_BOUND_TOL,
@@ -108,7 +120,8 @@ class DensityMatrix:
             raise NotAState((
                 "matrix has a non-finite entry (NaN or inf)"
                 if not np.isfinite(stack[i]).all()
-                else f"not Hermitian: defect {defect[i]:.3e}",
+                else f"an entry has a part of {big[i]:.3e}; a state's entries are at most 1",
+                f"not Hermitian: defect {defect[i]:.3e}",
                 f"trace is {tr[i].real:.15f}, not 1",
                 f"not positive semidefinite: min eigenvalue {lam[i, 0]:.3e}",
                 f"max eigenvalue {lam[i, -1]:.12f} exceeds 1",
@@ -341,8 +354,5 @@ def load_state(path: str | os.PathLike, *, psd_tol: float = RHO2_PSD_TOL) -> Den
         raise ParseError(f"entries must be [re, im] number pairs: {exc}") from exc
     if pairs.shape != (d ** 4, 2):
         raise ParseError(f"entries must be [re, im] pairs, got shape {pairs.shape}")
-    big = np.abs(pairs).max()
-    if 2.0 < big < np.inf:  # a part this large could overflow in validation; inf and NaN fail there
-        raise NotAState(f"an entry has a part of {big:.3e}; a state's entries are at most 1")
     mat = pairs.view(np.complex128).reshape(d * d, d * d)  # (re, im) pairs, no arithmetic on inf
     return DensityMatrix(mat, d, psd_tol=psd_tol)

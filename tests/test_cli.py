@@ -174,6 +174,15 @@ def test_reproduce_bit_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_csv_columns_format_by_type(tmp_path):
+    # each column holds one type: floats to 12 significant digits, bools as
+    # true/false, anything else by str; arrays and lists alike
+    path = tmp_path / "t.csv"
+    columns = [np.array([0.1, 1 / 3]), [True, False], np.array([False, True]), ["a", "NO"], [1e-20, 2.0]]
+    cli._write_csv(str(path), ["x", "flag", "npt", "name", "v"], columns)
+    assert path.read_bytes() == b"x,flag,npt,name,v\n0.1,true,false,a,1e-20\n0.333333333333,false,true,NO,2\n"
+
+
 def test_reproduce_unknown_target_usage_error(tmp_path, capsys):
     assert main(["reproduce", "fig9", "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
     capsys.readouterr()
@@ -359,6 +368,93 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
         fresh.append(run(argv))
     assert [code for code, _, _ in cached] == [EXIT_OK, EXIT_USAGE, EXIT_OK]
     assert cached == fresh
+
+
+def test_dim_and_trials_are_bounded_above(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out.csv"
+    # past a missing cap the audit would run a million trials; fail at once instead
+    monkeypatch.setattr(cli, "cmd_audit", lambda trials, seed: pytest.fail(f"audit ran {trials} trials"))
+    sweep = ["sweep", "--family", "noisy_singlet", "--from", "0", "--to", "1", "--steps", "3",
+             "--quantities", "lambda_max,verdict", "-o", str(out)]
+    for argv, bound in (
+        ([*sweep, "--dim", str(cli.MAX_DIM + 1)], f"in [2, {cli.MAX_DIM}]"),
+        (["audit", "--trials", str(cli.MAX_TRIALS + 1)], f"in [1, {cli.MAX_TRIALS}]"),
+    ):
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: argument" in err and bound in err
+    assert not out.exists()
+    assert main([*sweep, "--dim", str(cli.MAX_DIM)]) == EXIT_OK
+    assert out.read_text().count("\n") == 4
+
+
+def _argv(rng, paths: dict) -> list[str]:
+    """A random argv: a subcommand (or none, or an unknown one) whose flag
+    values are mostly valid and otherwise malformed, with flags now and then
+    left out or given twice."""
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    def draw(valid, invalid):
+        return pick(valid) if rng.random() < 0.8 else pick(invalid)
+
+    floats = ["-0.1", "nan", "inf", "-inf", "1e400", "1e308", "x", ""]
+    ints = ["0", "-1", "1.5", "1e3", "x", "", "9" * 5000, str(2**64)]
+    out = draw([paths["out"]], [paths["dir"], paths["missing"], ""])
+    command = draw(["analyze", "reproduce", "sweep", "audit"], ["bogus", "-h", None])
+    if command == "analyze":
+        flags = [[draw([paths["state"]], [paths["garbage"], paths["dir"], paths["missing"], ""])],
+                 ["--json"], ["--dembo", draw(["paper", "quarter"], ["half", ""])]]
+    elif command == "reproduce":
+        flags = [[draw(REPRODUCE_TARGETS, ["fig4", ""])], ["-o", out]]
+    elif command == "sweep":
+        family = draw(list(cli._FAMILY_RANGES), ["rho9", ""])
+        lo, hi, _ = cli._FAMILY_RANGES.get(family, (0.0, 1.0, False))
+        low, mid, high = (repr(lo + f * (hi - lo)) for f in (0.1, 0.5, 0.9))
+        quantities = ["lambda_max", "lambda_max,verdict,is_npt", "f_opt_pt,f_opt_spa", ",".join(cli._REPORT_QUANTITIES)]
+        flags = [["--family", family], ["--from", draw([low, mid], floats)], ["--to", draw([mid, high], floats)],
+                 ["--steps", draw(["2", "3", "5"], ints)],
+                 ["--quantities", draw(quantities, [",", " ", "", "bogus"])], ["-o", out],
+                 ["--dembo", draw(["paper", "quarter"], ["half"])],
+                 ["--dim", draw(["2", "3", "4"], [str(cli.MAX_DIM + 1), "1", "x"])]]
+    elif command == "audit":
+        # huge counts are left to test_dim_and_trials_are_bounded_above, so
+        # that a missing cap fails there instead of running here
+        flags = [["--trials", draw(["1", "2", "3"], ints[:-1])],
+                 ["--seed", draw(["0", "7"], ints)]]
+    else:
+        flags = [["--json"], ["-o", out]]
+    argv = [] if command is None else [command]
+    for i in rng.permutation(len(flags)):
+        argv += flags[i] * int(rng.choice([1] * 10 + [0, 2]))  # now and then missing or twice
+    if rng.random() < 0.05:
+        argv.append(pick(["--bogus", "-x", "extra"]))
+    return argv
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_argv_property_exit_code_and_no_traceback(tmp_path, capsys, seed):
+    state = _write(tmp_path, "state.json", rho3(0.6))
+    garbage = tmp_path / "garbage.json"
+    garbage.write_text('{"d": 2, "entries": [[1e308, 0]]}')
+    paths = {"state": state, "garbage": str(garbage), "dir": str(tmp_path), "out": str(tmp_path / "out.csv"),
+             "missing": str(tmp_path / "missing_dir" / "out.csv")}
+    rng = np.random.default_rng([20261018, seed])
+    seen = set()
+    for case in range(200):
+        argv = _argv(rng, paths)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's -h prints help, then exits 0
+            code = exc.code
+        captured = capsys.readouterr()
+        what = f"seed {seed} case {case}: {[a[:40] for a in argv]}"
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_AUDIT), what
+        assert "Traceback" not in captured.err, what
+        assert code == EXIT_OK or "error:" in captured.err, what
+        seen.add(code)
+    assert {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION} <= seen
 
 
 def test_no_command_is_usage_error(capsys):

@@ -31,9 +31,9 @@ from teleres import (
     verdict,
     x_opt,
 )
-from teleres import criteria
+from teleres import criteria, linalg
 from teleres.criteria import DemboDecomposition, DimensionUnsupported
-from teleres.linalg import DimensionMismatch, hermitian_eigen, tensor, trace_product
+from teleres.linalg import DimensionMismatch, hermitian_eigen, trace_product
 from teleres.oracle import _rng, random_density_matrix
 from conftest import random_state
 
@@ -63,9 +63,9 @@ def test_pt_of_product_state_stays_positive(rng):
         rb = gb @ gb.conj().T
         ra /= np.trace(ra).real
         rb /= np.trace(rb).real
-        rho = DensityMatrix(tensor(ra, rb), 2)
+        rho = DensityMatrix(np.kron(ra, rb), 2)
         pt = partial_transpose(rho)
-        np.testing.assert_allclose(pt, tensor(ra, rb.T), atol=1e-14)
+        np.testing.assert_allclose(pt, np.kron(ra, rb.T), atol=1e-14)
         assert hermitian_eigen(pt)[0] >= -1e-12
 
 
@@ -259,7 +259,7 @@ def test_ppt_states_never_clear_half_via_pt_route():
         for _ in range(3):
             ga = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
             gb = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
-            m += tensor(ga @ ga.conj().T, gb @ gb.conj().T)
+            m += np.kron(ga @ ga.conj().T, gb @ gb.conj().T)
         rho = DensityMatrix(m / np.trace(m).real, 2)
         flt = FilterOperator(float(gen.uniform(0, 1)))
         assert f_opt_locc_pt(rho, flt) <= 0.5 + 1e-12
@@ -412,12 +412,15 @@ def test_fidelity_from_fraction():
 
 # ---- Dembo bounds ----
 
-def test_dembo_decomposition_reassembles():
+def test_dembo_split_blocks_and_exact_eta():
+    # R_sub of an exactly Hermitian state is solved unchecked, and gives
+    # every bit the checked (symmetrising) route gives
     rho = random_state(3, 0, seed=39)
     dec = DemboDecomposition.from_matrix(rho.mat)
-    np.testing.assert_array_equal(dec.reassemble(), rho.mat)
-    assert dec.eta_low == pytest.approx(hermitian_eigen(dec.r_sub)[0], abs=1e-12)
-    assert dec.eta_high == pytest.approx(hermitian_eigen(dec.r_sub)[-1], abs=1e-12)
+    np.testing.assert_array_equal(dec.r_sub, rho.mat[:8, :8])
+    np.testing.assert_array_equal(dec.b, rho.mat[:8, 8])
+    assert dec.c == rho.mat[8, 8].real
+    assert (dec.eta_low, dec.eta_high) == tuple(hermitian_eigen(dec.r_sub)[[0, -1]])
 
 
 def test_dembo_rho3_reproduces_quoted_number():
@@ -551,16 +554,27 @@ def test_verdict_eigensolves_each_matrix_once(monkeypatch):
     # d = 2: partial transpose, R_sub, magic-basis FEF; d >= 3: partial
     # transpose, R_sub (lambda_max comes from the validated spectrum)
     sizes = []
+    checked = []
+    lapack = linalg._eigvalsh
 
     def counting(mat):
         sizes.append(len(mat))
+        return lapack(mat)
+
+    def counting_checked(mat):
+        checked.append(len(mat))
         return hermitian_eigen(mat)
 
-    monkeypatch.setattr(criteria, "hermitian_eigen", counting)
+    monkeypatch.setattr(linalg, "_eigvalsh", counting)
+    monkeypatch.setattr(criteria, "hermitian_eigen", counting_checked)
     for rho, expected in ((rho1(), [3, 4, 4]), (rho3(0.65), [8, 9]), (noisy_singlet(0.9, 4), [15, 16])):
         sizes.clear()
+        checked.clear()
         verdict(rho)
         assert sorted(sizes) == expected
+        # validation is the one Hermiticity gate; only the FEF's magic-basis
+        # real part, symmetric up to rounding, takes the checked route
+        assert checked == ([4] if rho.d == 2 else [])
 
 
 def test_verdict_rejects_unknown_dembo_variant():

@@ -7,12 +7,9 @@ from teleres.linalg import (
     NoConvergence,
     NotHermitian,
     hermitian_eigen,
-    tensor,
     trace_product,
 )
 from teleres.oracle import _rng, haar_unitary, random_hermitian, random_psd
-
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def test_identity_spectrum():
@@ -92,27 +89,6 @@ def test_lapack_failure_raises_no_convergence(monkeypatch, rng):
 
 def test_zero_matrix():
     np.testing.assert_allclose(hermitian_eigen(np.zeros((3, 3), dtype=complex)), 0.0)
-
-
-def test_tensor_identity():
-    np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_filter_projector_pattern():
-    # diag(a,1) x I applied to the phi+ projector leaves the four corner pattern
-    a = 0.78
-    psi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    ai = tensor(np.diag([a, 1.0]), np.eye(2))
-    x = ai @ np.outer(psi, psi.conj()) @ ai.conj().T
-    assert x[0, 0] == pytest.approx(0.3042)
-    assert x[0, 3] == pytest.approx(0.39)
-    assert x[3, 0] == pytest.approx(0.39)
-    assert x[3, 3] == pytest.approx(0.5)
-
-
-def test_tensor_pauli_product():
-    lhs = tensor(SX, np.eye(2)) @ tensor(np.eye(2), SX)
-    np.testing.assert_allclose(lhs, tensor(SX, SX))
 
 
 def test_trace_product_unit_trace(rng):

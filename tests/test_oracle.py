@@ -19,7 +19,7 @@ from teleres import (
     singlet_fraction_basis,
     wootters_concurrence,
 )
-from teleres import linalg, oracle, states
+from teleres import linalg, oracle
 from teleres.criteria import DimensionUnsupported
 from teleres.linalg import DimensionMismatch
 from teleres.oracle import CheckResult, HarnessReport, _haar_q, _rng, haar_unitary, random_density_matrix
@@ -137,7 +137,7 @@ def test_random_density_matrix_validates_without_package_kernel(monkeypatch):
         raise AssertionError("the oracle ran the eigensolver it audits")
 
     monkeypatch.setattr(linalg, "hermitian_eigen", package_kernel)
-    monkeypatch.setattr(states, "hermitian_eigen", package_kernel)
+    monkeypatch.setattr(linalg, "_eigvalsh", package_kernel)
     for d, rank in ((2, None), (3, None), (3, 1)):
         rho = random_density_matrix(d, _rng(7, d), rank=rank)
         assert isinstance(rho, DensityMatrix) and rho.d == d

@@ -36,7 +36,7 @@ from teleres import (
     verdict,
     x_opt,
 )
-from teleres import cli, criteria, states
+from teleres import cli, linalg
 from teleres.linalg import NotHermitian, hermitian_eigen, hermiticity_defect, trace_product
 from teleres.oracle import _rng, random_density_matrix
 
@@ -234,13 +234,13 @@ def test_x_opt_closed_form_matches_filtered_projector():
 
 def test_sweep_eigensolves_a_whole_family_a_constant_number_of_times(tmp_path, monkeypatch):
     sizes = []
+    lapack = linalg._eigvalsh
 
     def counting(mat):
         sizes.append(np.shape(mat))
-        return hermitian_eigen(mat)
+        return lapack(mat)
 
-    monkeypatch.setattr(criteria, "hermitian_eigen", counting)
-    monkeypatch.setattr(states, "hermitian_eigen", counting)
+    monkeypatch.setattr(linalg, "_eigvalsh", counting)
     quantities = ",".join(cli._REPORT_QUANTITIES)
     for steps in (20, 200):
         sizes.clear()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,33 @@ def test_validation_rejects_non_finite_entry(bad):
     m[0, 1] = bad
     with pytest.raises(NotAState, match="non-finite"):
         DensityMatrix(m, 2)
+
+
+@pytest.mark.parametrize("big", [1.7e308, 9e307, 2.5])
+def test_validation_rejects_an_entry_beyond_the_bound(big):
+    # Hermitian with trace 1: unbounded, the symmetrisation before the
+    # eigensolve overflows and LAPACK gets inf
+    message = re.escape(f"an entry has a part of {big:.3e}; a state's entries are at most 1")
+    with pytest.raises(NotAState, match=message):
+        DensityMatrix(np.diag([big, -big, 0.5, 0.5]).astype(complex), 2)
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1], m[1, 0] = 1j * big, -1j * big
+    with pytest.raises(NotAState, match=message):
+        DensityMatrix(m, 2)
+
+
+def test_entry_bound_names_the_first_failing_member():
+    good = rho3(0.6).mat
+    bad = np.diag([1.7e308, -1.7e308, *[1.0 / 7] * 7]).astype(complex)
+    with pytest.raises(NotAState, match="at most 1"):
+        DensityMatrix(np.array([good, bad, good]), 3)
+    nan = good.copy()
+    nan[0, 0] = np.nan
+    with pytest.raises(NotAState, match="non-finite"):
+        DensityMatrix(np.array([good, nan, bad]), 3)
+    # below the bound, an entry too large for a state fails its usual check
+    with pytest.raises(NotAState, match="positive semidefinite"):
+        DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), 2)
 
 
 def test_validation_rejects_non_square_dimension():
