@@ -346,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:  # argparse exits only after printing -h; every usage error raises _UsageError
+        return EXIT_OK
 
     try:
         if args.command == "analyze":

@@ -15,7 +15,8 @@ Haar unitaries are the Q of a complex Gaussian matrix whose R has a
 positive diagonal, which is unique (Mezzadri, Notices AMS 54, 592
 (2007)); one Gram-Schmidt pass with re-orthogonalisation (CGS2) gives it for
 a whole stack of samples with no QR call and no phase fix, and with the stack
-axis innermost each of its steps is one vector op over every sample.
+axis innermost each of its steps is one vector op over every sample. The
+singlet-fraction sampler needs one such W = U_A U_B^T per local pair.
 """
 
 from __future__ import annotations
@@ -127,11 +128,13 @@ def random_density_matrix(
 def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> float:
     """Max overlap of rho with (U_A x U_B)|phi_d+> over sampled Haar pairs.
 
-    The identity pair is always evaluated first, so the result is a lower
-    bound on the fully entangled fraction that is monotone in the budget
-    for a fixed seed. Samples are drawn from one sequential counter-based
-    stream with a per-sample interleaved layout, so sample k is the same
-    for every budget that reaches it.
+    A pair enters only through W = U_A U_B^T, since (U_A x U_B)|phi_d+> =
+    (W x I)|phi_d+> is W's rows over sqrt(d), and W is Haar when U_A and U_B
+    are independent and Haar; so each sample is one Haar W, drawn from one
+    sequential counter-based stream laid out (take, d, d, 2), (re, im) last,
+    and sample k is the same for every budget that reaches it. The identity
+    pair is evaluated first, so the result is a lower bound on the fully
+    entangled fraction that is monotone in the budget for a fixed seed.
     """
     if rho.mat.ndim != 2:
         raise linalg.DimensionMismatch(f"sampled_singlet_fraction takes one state, got a stack of {len(rho.mat)}")
@@ -139,16 +142,10 @@ def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> floa
     psi = phi_plus(d).vec
     best = float(np.vdot(psi, rho.mat @ psi).real)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(budget.seed)))
-    remaining = budget.n_unitaries
-    while remaining > 0:
-        take = min(8192, remaining)
-        # the last axis holds (re, im) of one Gaussian entry
-        u = _haar_q(rng.standard_normal((take, 2, d, d, 2)).view(np.complex128)[..., 0])
-        # (U_A x U_B)|phi+> flattens to the rows of W = U_A U_B^T, over sqrt(d)
-        w = (u[:, 0, :, None] * u[:, 1, None]).sum(-1).reshape(take, d * d)
-        overlaps = (w.conj() * (w @ rho.mat.T)).sum(-1).real / d
-        best = max(best, float(overlaps.max()))
-        remaining -= take
+    for first in range(0, budget.n_unitaries, 8192):
+        take = min(8192, budget.n_unitaries - first)
+        w = _haar_q(rng.standard_normal((take, d, d, 2)).view(np.complex128)[..., 0]).reshape(take, d * d)
+        best = max(best, float((w.conj() * (w @ rho.mat.T)).sum(-1).real.max()) / d)  # max(x) / d = max(x / d)
     return best
 
 

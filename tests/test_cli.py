@@ -444,10 +444,7 @@ def test_argv_property_exit_code_and_no_traceback(tmp_path, capsys, seed):
     seen = set()
     for case in range(200):
         argv = _argv(rng, paths)
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's -h prints help, then exits 0
-            code = exc.code
+        code = main(argv)
         captured = capsys.readouterr()
         what = f"seed {seed} case {case}: {[a[:40] for a in argv]}"
         assert code in (EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_AUDIT), what
@@ -455,6 +452,14 @@ def test_argv_property_exit_code_and_no_traceback(tmp_path, capsys, seed):
         assert code == EXIT_OK or "error:" in captured.err, what
         seen.add(code)
     assert {EXIT_OK, EXIT_USAGE, EXIT_VALIDATION} <= seen
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "-h"], ["audit", "--help"]])
+def test_help_returns_ok_and_prints_usage_to_stdout(capsys, argv):
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: teleres {' '.join(argv[:-1])}".rstrip())
+    assert captured.err == ""
 
 
 def test_no_command_is_usage_error(capsys):

@@ -57,12 +57,23 @@ def _qr_sampled_singlet_fraction(rho, budget):
     remaining = budget.n_unitaries
     while remaining > 0:
         take = min(8192, remaining)
-        z = rng.standard_normal((take, 2, d, d, 2))
+        z = rng.standard_normal((take, d, d, 2))
         u = _qr_haar(z[..., 0] + 1j * z[..., 1])
-        vs = np.einsum("kij,kaj->kia", u[:, 0], u[:, 1]).reshape(take, d * d) / np.sqrt(d)
+        vs = u.reshape(take, d * d) / np.sqrt(d)
         best = max(best, float(np.einsum("ki,ij,kj->k", vs.conj(), rho.mat, vs).real.max()))
         remaining -= take
     return best
+
+
+def test_local_pair_acts_on_phi_plus_as_one_unitary():
+    # (U_A x U_B)|phi+> = (U_A U_B^T x I)|phi+>, the rows of U_A U_B^T over sqrt(d):
+    # the sampler draws that one unitary instead of the pair
+    for d in (2, 3, 4):
+        for i in range(20):
+            ua, ub = haar_unitary(d, _rng(41, 2 * i)), haar_unitary(d, _rng(41, 2 * i + 1))
+            np.testing.assert_allclose(
+                np.kron(ua, ub) @ phi_plus(d).vec, (ua @ ub.T).reshape(-1) / math.sqrt(d), rtol=0, atol=1e-12
+            )
 
 
 def test_haar_helper_matches_phase_fixed_qr():
