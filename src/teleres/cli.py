@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -41,7 +42,6 @@ from .states import (
     rho2,
     rho3,
     rho_alpha,
-    noisy_singlet,
     sigma_family,
 )
 
@@ -56,10 +56,11 @@ MAX_STEPS = 1_000_000
 MAX_TRIALS = 1_000_000
 MAX_DIM = 8
 
-REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
+# matrix entries per sweep block: 16,384 states at d = 2, 3,236 at d = 3 and
+# 64 at d = 8, so a sweep's memory is bounded whatever --steps and --dim are
+SWEEP_BLOCK_ENTRIES = 2**18
 
-# (lo, hi, open at lo): sigma sweeps the filter parameter, the others their builder's parameter
-_FAMILY_RANGES = {"sigma": (0.0, 1.0, False), **states.FAMILY_INTERVALS}
+REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
 
 _REPORT_QUANTITIES = (
     "lambda_max",
@@ -87,13 +88,13 @@ class SweepSpec:
     quantities: tuple[str, ...]
 
     def validate(self) -> None:
-        if self.family not in _FAMILY_RANGES:
+        if self.family not in states.FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
         if not self.lo < self.hi:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not 2 <= self.steps <= MAX_STEPS:
             raise InvalidSpec(f"need 2 <= steps <= {MAX_STEPS}, got {self.steps}")
-        vlo, vhi, open_lo = _FAMILY_RANGES[self.family]
+        vlo, vhi, open_lo = states.FAMILIES[self.family].interval
         if not ((self.lo > vlo if open_lo else self.lo >= vlo) and self.hi <= vhi):
             interval = f"{'(' if open_lo else '['}{vlo}, {vhi}]"
             raise InvalidSpec(f"range [{self.lo}, {self.hi}] outside {interval} of {self.family}")
@@ -107,20 +108,33 @@ class SweepSpec:
                 raise InvalidSpec(f"unknown quantity {q!r} for family {self.family!r}")
 
 
-def _cells(column) -> list[str]:
-    """One column (an array or a list of one type) as CSV cells: true/false
-    for bools, 12 significant digits for floats, str for anything else."""
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    if isinstance(values[0], bool):
-        return ["true" if v else "false" for v in values]
-    return list(map("{:.12g}".format if isinstance(values[0], float) else str, values))
+def _write_csv(path: str, header: list[str], blocks) -> None:
+    """Write ``header``, then the rows of each block in turn; a block is a
+    list of equal-length columns (arrays or lists), and each is written
+    before the next is drawn.
 
-
-def _write_csv(path: str, header: list[str], columns: list) -> None:
-    """Write equal-length columns under ``header``, formatted column by column."""
-    lines = [",".join(header), *map(",".join, zip(*map(_cells, columns)))]
+    Every row of the file is formatted by one ``str.format`` template, built
+    from the type of each column's first value in the first block:
+    true/false for bools, 12 significant digits for floats, str for
+    anything else. If drawing or writing a block raises, the partial file
+    is removed and the exception propagates.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        try:
+            fh.write(",".join(header) + "\n")
+            template = None
+            for block in blocks:
+                columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+                if template is None:
+                    flags = [isinstance(c[0], bool) for c in columns]
+                    template = ",".join("{:.12g}" if isinstance(c[0], float) else "{}" for c in columns) + "\n"
+                columns = [map(("false", "true").__getitem__, c) if flag else c for flag, c in zip(flags, columns)]
+                fh.write("".join(map(template.format, *columns)))
+        except BaseException:
+            fh.close()
+            if os.path.isfile(path) and not os.path.islink(path):  # never a device or /dev/stdout
+                os.remove(path)
+            raise
 
 
 def _sigma1() -> states.DensityMatrix:
@@ -223,44 +237,44 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
 
 
 def cmd_reproduce(target: str, out_path: str) -> int:
-    _write_csv(out_path, *_reproduce_columns(target))
+    header, columns = _reproduce_columns(target)
+    _write_csv(out_path, header, [columns])
     return EXIT_OK
 
 
-def _sweep_states(family: str, params: np.ndarray, dim: int) -> states.DensityMatrix:
-    """The family's states at every parameter, as one validated stack."""
-    if family == "rho2":
-        return rho2(params)
-    if family == "rho3":
-        return rho3(params)
-    if family == "rho_alpha":
-        return rho_alpha(params)
-    if family == "noisy_singlet":
-        return noisy_singlet(params, dim)
-    raise InvalidSpec(f"family {family!r} has no state constructor")
-
-
-def _report_value(report: criteria.CriterionReport, quantity: str):
-    return report.verdict.value if quantity == "verdict" else getattr(report, quantity)
-
-
 def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper", dim: int = 3) -> int:
+    """Write a family's curve as CSV, one block of the parameter vector at a time.
+
+    A block holds at most ``SWEEP_BLOCK_ENTRIES`` matrix entries. Its states
+    are built as one stack, classified into columns and written before the
+    next block is built. Every member's values are those it has alone, so
+    the file does not depend on the block size. ``dim`` is the local
+    dimension of families that take one (noisy_singlet).
+    """
     spec.validate()
+    family = states.FAMILIES[spec.family]
+    d = family.d or dim
+    size = max(1, SWEEP_BLOCK_ENTRIES // d**4)
     params = np.linspace(spec.lo, spec.hi, spec.steps)
-    if spec.family == "sigma":
-        # one state; the filter parameter runs over the whole vector at once
+    if family.build is None:
+        # sigma: one state; the filter parameter runs over the block
         sig = _sigma1()
-        base = verdict(sig, dembo_variant)
-        flt = FilterOperator(params)
-        routes = {"f_opt_spa": f_opt_locc_spa(sig, flt), "f_opt_pt": f_opt_locc_pt(sig, flt)}
-        columns = [
-            routes[q] if q in routes else [_report_value(base, q)] * spec.steps
-            for q in spec.quantities
-        ]
+        base = criteria._verdict_columns(sig, dembo_variant)
+
+        def fields(block: np.ndarray) -> dict:
+            flt = FilterOperator(block)
+            return {"f_opt_spa": f_opt_locc_spa(sig, flt), "f_opt_pt": f_opt_locc_pt(sig, flt),
+                    **{q: base[q] * len(block) for q in spec.quantities if q in base}}
     else:
-        reports = verdict(_sweep_states(spec.family, params, dim), dembo_variant)
-        columns = [[_report_value(r, q) for r in reports] for q in spec.quantities]
-    _write_csv(out_path, ["param", *spec.quantities], [params, *columns])
+        def fields(block: np.ndarray) -> dict:
+            return criteria._verdict_columns(family.build(block, dim), dembo_variant)
+
+    def columns(block: np.ndarray) -> list:
+        f = fields(block)
+        return [block, *([v.value for v in f[q]] if q == "verdict" else f[q] for q in spec.quantities)]
+
+    blocks = (columns(params[i : i + size]) for i in range(0, spec.steps, size))
+    _write_csv(out_path, ["param", *spec.quantities], blocks)
     return EXIT_OK
 
 
@@ -322,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("-o", "--output", required=True)
 
     p_sw = sub.add_parser("sweep", help="sweep a state family and emit CSV")
-    p_sw.add_argument("--family", required=True, choices=tuple(_FAMILY_RANGES))
+    p_sw.add_argument("--family", required=True, choices=tuple(states.FAMILIES))
     p_sw.add_argument("--from", dest="lo", type=float, required=True)
     p_sw.add_argument("--to", dest="hi", type=float, required=True)
     p_sw.add_argument("--steps", type=int, required=True)

@@ -373,16 +373,9 @@ def _singlet_fraction_lower(rho: DensityMatrix) -> float | np.ndarray:
     return _py(_vdot(v, rho.mat @ v).real)
 
 
-def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport | list[CriterionReport]:
-    """Classify a state by the weakest criterion that decides it.
-
-    NPT with lam_max > 1/d is useful outright; otherwise an NPT state is
-    useful when the selected Dembo upper bound clears 1/d, or when the
-    singlet-fraction lower bound does. A state is reported separable only
-    when it is confidently PPT and lam_max <= 1/d; everything else is
-    inconclusive. A stack of states gives a list with one report per
-    member, each equal to the report of that member alone.
-    """
+def _verdict_columns(rho: DensityMatrix, dembo_variant: str) -> dict[str, list]:
+    """The report fields of every member, one Python list per field, keyed
+    and ordered as the fields of :class:`CriterionReport` after ``d``."""
     _check_variant(dembo_variant)
     d = rho.d
     # Python scalars for one state, (k,) arrays for a stack
@@ -405,13 +398,34 @@ def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport
     first_rule = np.array(rules).argmax(axis=0)
     fid = fidelity_from_fraction(np.minimum(lam_max, 1.0), d)
 
-    # Python floats and bools, one row per member, so the CSV writer formats them
-    floats = np.array((lam_max, frac, lower, up_paper, up_quarter, fid)).reshape(6, -1).T.tolist()
-    f_opt = np.ravel(optimize_filter(rho)[1]).tolist() if d == 2 else [None] * len(floats)
-    reports = [
-        CriterionReport(d, npt_i, lam_i, frac_i, f_i, lo_i, upp_i, upq_i, fid_i, _RULE_VERDICTS[r], dembo_variant)
-        for (lam_i, frac_i, lo_i, upp_i, upq_i, fid_i), npt_i, f_i, r in zip(
-            floats, np.ravel(npt).tolist(), f_opt, np.ravel(first_rule).tolist()
-        )
-    ]
+    # Python floats and bools, one list per field, so the CSV writer formats them
+    lam_c, frac_c, lower_c, upp_c, upq_c, fid_c = (
+        np.array((lam_max, frac, lower, up_paper, up_quarter, fid)).reshape(6, -1).tolist()
+    )
+    return {
+        "is_npt": np.ravel(npt).tolist(),
+        "lambda_max": lam_c,
+        "singlet_fraction_lower": frac_c,
+        "f_opt_locc": np.ravel(optimize_filter(rho)[1]).tolist() if d == 2 else [None] * len(lam_c),
+        "dembo_lower": lower_c,
+        "dembo_upper_paper": upp_c,
+        "dembo_upper_quarter": upq_c,
+        "fidelity_upper": fid_c,
+        "verdict": [_RULE_VERDICTS[r] for r in np.ravel(first_rule).tolist()],
+    }
+
+
+def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport | list[CriterionReport]:
+    """Classify a state by the weakest criterion that decides it.
+
+    NPT with lam_max > 1/d is useful outright; otherwise an NPT state is
+    useful when the selected Dembo upper bound clears 1/d, or when the
+    singlet-fraction lower bound does. A state is reported separable only
+    when it is confidently PPT and lam_max <= 1/d; everything else is
+    inconclusive. A stack of states gives a list with one report per
+    member, each equal to the report of that member alone. The reports
+    are the rows of the columns a sweep writes, so both share one path.
+    """
+    columns = _verdict_columns(rho, dembo_variant)
+    reports = [CriterionReport(rho.d, *row, dembo_variant) for row in zip(*columns.values())]
     return reports if rho.mat.ndim == 3 else reports[0]

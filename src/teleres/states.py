@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import os
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,8 @@ __all__ = [
     "rho3",
     "rho_alpha",
     "noisy_singlet",
+    "Family",
+    "FAMILIES",
     "qutrit_me_basis",
     "load_state",
     "save_state",
@@ -85,7 +88,8 @@ class DensityMatrix:
         failing check.
 
         This is the package's one Hermiticity gate: the spectrum is solved
-        from the symmetrised stack, and criteria solve matrices derived
+        from the symmetrised stack, or from the stack itself when every
+        member is exactly Hermitian, and criteria solve matrices derived
         from a validated state without checking them again.
         """
         m = linalg.as_complex_matrix(mat)
@@ -104,8 +108,10 @@ class DensityMatrix:
         defect = np.abs(safe - adjoint).max(axis=(1, 2))
         tr = safe.trace(axis1=1, axis2=2)
         if spectrum is None:
-            # eigvalsh reads one triangle only; symmetrise so both halves count
-            spectrum = linalg._eigvalsh((0.5 * (safe + adjoint)).reshape(m.shape))
+            # eigvalsh reads one triangle only; symmetrise so both halves count.
+            # With no defect in any member, 0.5 * (a + a^H) is a itself, bit for bit
+            hermitian = safe if not defect.any() else 0.5 * (safe + adjoint)
+            spectrum = linalg._eigvalsh(hermitian.reshape(m.shape))
         lam = spectrum.reshape(-1, n)
         failed = np.array((
             ~bounded,
@@ -211,19 +217,10 @@ def rho1() -> DensityMatrix:
     return DensityMatrix(m, 2)
 
 
-# (lo, hi, open at lo): the parameter interval of each family's builder
-FAMILY_INTERVALS = {
-    "rho2": (0.35, 0.369, False),
-    "rho3": (0.5, 0.65, False),
-    "rho_alpha": (4, 5, True),
-    "noisy_singlet": (0, 1, False),
-}
-
-
 def _family_params(name: str, value, family: str) -> np.ndarray:
     """The parameter, or array of parameters, of a family, once each lies
     in its interval; the error names the first one that does not."""
-    lo, hi, open_lo = FAMILY_INTERVALS[family]
+    lo, hi, open_lo = FAMILIES[family].interval
     p = np.asarray(value, dtype=np.float64)
     ok = ((p > lo) if open_lo else (p >= lo)) & (p <= hi)
     if not ok.all():
@@ -282,6 +279,27 @@ def noisy_singlet(p: float | np.ndarray, d: int) -> DensityMatrix:
     p = _family_params("p", p, "noisy_singlet")[..., None, None]
     m = p * phi_plus(d).projector() + (1.0 - p) * np.eye(d * d, dtype=np.complex128) / (d * d)
     return DensityMatrix(m, d)
+
+
+class Family(NamedTuple):
+    """A swept family: ``build(params, d)`` is the validated stack of its
+    states at a parameter vector, ``d`` its local dimension (None: the
+    caller's), ``interval`` its parameter range as (lo, hi, open at lo)."""
+
+    build: Callable[[np.ndarray, int], DensityMatrix] | None
+    d: int | None
+    interval: tuple[float, float, bool]
+
+
+# the one registry of swept families; sigma has no builder, because a sigma
+# sweep runs the diag(a, 1) filter over one state rather than a family of states
+FAMILIES = {
+    "sigma": Family(None, 2, (0.0, 1.0, False)),
+    "rho2": Family(lambda a, _d: rho2(a), 3, (0.35, 0.369, False)),
+    "rho3": Family(lambda a, _d: rho3(a), 3, (0.5, 0.65, False)),
+    "rho_alpha": Family(lambda alpha, _d: rho_alpha(alpha), 3, (4, 5, True)),
+    "noisy_singlet": Family(lambda p, d: noisy_singlet(p, d), None, (0, 1, False)),
+}
 
 
 _QUTRIT_TRIPLES = (

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from teleres import cli, noisy_singlet, rho1, rho3, save_state, verdict
+from teleres import cli, noisy_singlet, rho1, rho3, save_state, states, verdict
 from teleres.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -179,7 +179,7 @@ def test_csv_columns_format_by_type(tmp_path):
     # true/false, anything else by str; arrays and lists alike
     path = tmp_path / "t.csv"
     columns = [np.array([0.1, 1 / 3]), [True, False], np.array([False, True]), ["a", "NO"], [1e-20, 2.0]]
-    cli._write_csv(str(path), ["x", "flag", "npt", "name", "v"], columns)
+    cli._write_csv(str(path), ["x", "flag", "npt", "name", "v"], [columns])
     assert path.read_bytes() == b"x,flag,npt,name,v\n0.1,true,false,a,1e-20\n0.333333333333,false,true,NO,2\n"
 
 
@@ -409,8 +409,8 @@ def _argv(rng, paths: dict) -> list[str]:
     elif command == "reproduce":
         flags = [[draw(REPRODUCE_TARGETS, ["fig4", ""])], ["-o", out]]
     elif command == "sweep":
-        family = draw(list(cli._FAMILY_RANGES), ["rho9", ""])
-        lo, hi, _ = cli._FAMILY_RANGES.get(family, (0.0, 1.0, False))
+        family = draw(list(states.FAMILIES), ["rho9", ""])
+        lo, hi, _ = states.FAMILIES[family].interval if family in states.FAMILIES else (0.0, 1.0, False)
         low, mid, high = (repr(lo + f * (hi - lo)) for f in (0.1, 0.5, 0.9))
         quantities = ["lambda_max", "lambda_max,verdict,is_npt", "f_opt_pt,f_opt_spa", ",".join(cli._REPORT_QUANTITIES)]
         flags = [["--family", family], ["--from", draw([low, mid], floats)], ["--to", draw([mid, high], floats)],

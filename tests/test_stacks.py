@@ -8,6 +8,7 @@ classifies a whole family as one stack.
 import importlib
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from teleres import (
     verdict,
     x_opt,
 )
-from teleres import cli, linalg
+from teleres import cli, linalg, states
 from teleres.linalg import NotHermitian, hermitian_eigen, hermiticity_defect, trace_product
 from teleres.oracle import _rng, random_density_matrix
 
@@ -160,6 +161,30 @@ def test_hermiticity_defect_per_member_without_warnings():
         hermitian_eigen(h[:2])
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exactly_hermitian_stack_is_solved_without_a_symmetrised_copy(monkeypatch, d):
+    stack = np.stack([np.array(random_density_matrix(d, _rng(909, 10 * d + i)).mat) for i in range(6)])
+    stack = 0.5 * (stack + stack.conj().swapaxes(1, 2))  # exactly Hermitian
+    assert not hermiticity_defect(stack).any()
+    solved = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: solved.append(m) or lapack(m))
+    rho = DensityMatrix(stack, d)
+    assert np.shares_memory(solved[0], rho.mat)
+    assert np.array_equal(rho.spectrum, lapack(0.5 * (stack + stack.conj().swapaxes(1, 2))))
+
+
+def test_a_member_with_a_defect_gets_the_symmetrised_solve(monkeypatch):
+    stack = np.stack([np.array(noisy_singlet(p, 2).mat) for p in (0.2, 0.5, 0.9)])
+    stack[1, 0, 3] += 1e-12  # within HERMITIAN_TOL, so the member is still a state
+    solved = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: solved.append(m) or lapack(m))
+    DensityMatrix(stack, 2)
+    assert not np.shares_memory(solved[0], stack)
+    assert np.array_equal(solved[0], 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+
+
 # ---- criteria ----
 
 @pytest.mark.parametrize("name,build,params", FAMILIES, ids=[f[0] for f in FAMILIES])
@@ -277,3 +302,104 @@ def test_catalog_csvs_match_golden_files(tmp_path, monkeypatch):
             assert len(g_cells) == len(w_cells), (stem, line)
             for g, w in zip(g_cells, w_cells):
                 assert _cells_match(g, w), (stem, line, g, w)
+
+
+# (family, --from, --to, extra flags) of the benchmark's catalog sweeps
+SWEEPS = (
+    ("rho2", "0.35", "0.369", []),
+    ("rho3", "0.5", "0.65", []),
+    ("rho_alpha", "4.01", "5", []),
+    ("noisy_singlet", "0", "1", ["--dim", "2"]),
+    ("noisy_singlet", "0", "1", ["--dim", "3"]),
+    ("sigma", "0", "1", []),
+)
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 81])
+@pytest.mark.parametrize("dembo", ["paper", "quarter"])
+def test_blocked_sweep_is_byte_identical_to_one_block(tmp_path, monkeypatch, dembo, entries):
+    # 7 * 81 entries: blocks of 7 states at d = 3 and of 35 at d = 2, so
+    # 200 steps end on a short block; 1 entry: a block of one state each
+    write = cli._write_csv
+    sizes = []
+
+    def counting(path, header, blocks):
+        write(path, header, (sizes.append(len(block[0])) or block for block in blocks))
+
+    quantities = ",".join(cli._REPORT_QUANTITIES)
+    for family, lo, hi, extra in SWEEPS:
+        q = quantities + ",f_opt_spa,f_opt_pt" if family == "sigma" else quantities
+        argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", "200", "--quantities", q,
+                "--dembo", dembo, *extra]
+        one, blocked = tmp_path / "one.csv", tmp_path / "blocked.csv"
+        assert cli.main([*argv, "-o", str(one)]) == cli.EXIT_OK
+        sizes.clear()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "SWEEP_BLOCK_ENTRIES", entries)
+            m.setattr(cli, "_write_csv", counting)
+            assert cli.main([*argv, "-o", str(blocked)]) == cli.EXIT_OK
+        assert sum(sizes) == 200 and len(sizes) > 1
+        assert sizes[-1] < sizes[0] if entries > 1 else set(sizes) == {1}
+        assert blocked.read_bytes() == one.read_bytes(), (family, extra)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", "20000"],
+    ["--family", "noisy_singlet", "--dim", str(cli.MAX_DIM), "--from", "0", "--to", "1", "--steps", "400"],
+], ids=["rho3_20k_steps", "noisy_singlet_d8_400_steps"])
+def test_sweep_memory_is_bounded_by_the_block(tmp_path, argv):
+    # holding every state at once peaks at about 92 MB traced on both
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", *argv, "--quantities", ",".join(cli._REPORT_QUANTITIES),
+                         "-o", str(tmp_path / "out.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert peak < 40e6
+
+
+def test_a_failing_block_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
+    rho3_family = states.FAMILIES["rho3"]
+    built = []
+
+    def build(a, d):
+        built.append(len(a))
+        if len(built) == 2:
+            raise NotAState("injected failure in the second block")
+        return rho3_family.build(a, d)
+
+    monkeypatch.setitem(states.FAMILIES, "rho3", rho3_family._replace(build=build))
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ENTRIES", 7 * 81)
+    out = tmp_path / "rho3.csv"
+    code = cli.main(["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", "20",
+                     "--quantities", "lambda_max,verdict", "-o", str(out)])
+    assert code == cli.EXIT_VALIDATION
+    assert built == [7, 7]
+    assert capsys.readouterr().err == "error: injected failure in the second block\n"
+    assert not out.exists()
+
+
+def test_one_registry_feeds_parser_spec_sweep_and_builders(tmp_path, monkeypatch, capsys):
+    narrowed = states.FAMILIES["rho3"]._replace(interval=(0.5, 0.6, False))
+    base = ["sweep", "--from", "0.5", "--steps", "5", "--quantities", "lambda_max,verdict"]
+    low, ref = tmp_path / "low.csv", tmp_path / "ref.csv"
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(states.FAMILIES, "rho3_low", narrowed)
+            m.setitem(states.FAMILIES, "rho3", narrowed)
+            cli._build_parser.cache_clear()
+            # argparse choices and the sweep take the new entry
+            assert cli.main([*base, "--family", "rho3_low", "--to", "0.6", "-o", str(low)]) == cli.EXIT_OK
+            assert cli.main([*base, "--family", "rho3", "--to", "0.6", "-o", str(ref)]) == cli.EXIT_OK
+            assert low.read_bytes() == ref.read_bytes()
+            # SweepSpec.validate and the builder take its interval
+            assert cli.main([*base, "--family", "rho3_low", "--to", "0.65", "-o", str(low)]) == cli.EXIT_USAGE
+            assert "outside [0.5, 0.6] of rho3_low" in capsys.readouterr().err
+            with pytest.raises(ValueError, match=r"a = 0.62 outside \[0.5, 0.6\]"):
+                rho3(0.62)
+    finally:
+        cli._build_parser.cache_clear()
+    assert cli.main([*base, "--family", "rho3_low", "--to", "0.6", "-o", str(low)]) == cli.EXIT_USAGE
+    capsys.readouterr()
