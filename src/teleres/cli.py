@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -86,10 +87,14 @@ class SweepSpec:
     hi: float
     steps: int
     quantities: tuple[str, ...]
+    dim: int | None = None  # the local dimension of a family without a fixed one
 
     def validate(self) -> None:
         if self.family not in states.FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
+        fixed_d = states.FAMILIES[self.family].d
+        if self.dim is not None and fixed_d is not None:
+            raise InvalidSpec(f"--dim does not apply to {self.family}, whose local dimension is {fixed_d}")
         if not self.lo < self.hi:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not 2 <= self.steps <= MAX_STEPS:
@@ -116,10 +121,19 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
     Every row of the file is formatted by one ``str.format`` template, built
     from the type of each column's first value in the first block:
     true/false for bools, 12 significant digits for floats, str for
-    anything else. If drawing or writing a block raises, the partial file
-    is removed and the exception propagates.
+    anything else. If drawing or writing a block raises, the file is
+    removed, even one that existed before, and the exception propagates.
+
+    An existing file is overwritten in place and then cut to the length
+    written, not truncated on open: a truncate frees the old blocks and the
+    rewrite allocates new ones, which on ext4 costs several times as much as
+    writing over them. Only a regular file is cut; a device or a FIFO
+    (``/dev/stdout``, ``/dev/null``) is written as a stream. A run killed
+    part way leaves the new rows written so far, followed by the old file's
+    tail where the old file was longer.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
         try:
             fh.write(",".join(header) + "\n")
             template = None
@@ -130,6 +144,8 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
                     template = ",".join("{:.12g}" if isinstance(c[0], float) else "{}" for c in columns) + "\n"
                 columns = [map(("false", "true").__getitem__, c) if flag else c for flag, c in zip(flags, columns)]
                 fh.write("".join(map(template.format, *columns)))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()  # drop the old file's tail, if it was longer
         except BaseException:
             fh.close()
             if os.path.isfile(path) and not os.path.islink(path):  # never a device or /dev/stdout
@@ -242,18 +258,19 @@ def cmd_reproduce(target: str, out_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper", dim: int = 3) -> int:
+def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper") -> int:
     """Write a family's curve as CSV, one block of the parameter vector at a time.
 
     A block holds at most ``SWEEP_BLOCK_ENTRIES`` matrix entries. Its states
     are built as one stack, classified into columns and written before the
     next block is built. Every member's values are those it has alone, so
-    the file does not depend on the block size. ``dim`` is the local
-    dimension of families that take one (noisy_singlet).
+    the file does not depend on the block size. The spec is validated
+    before the output is opened, so a bad spec leaves an existing file as
+    it was.
     """
     spec.validate()
     family = states.FAMILIES[spec.family]
-    d = family.d or dim
+    d = family.d or spec.dim or 3
     size = max(1, SWEEP_BLOCK_ENTRIES // d**4)
     params = np.linspace(spec.lo, spec.hi, spec.steps)
     if family.build is None:
@@ -267,7 +284,7 @@ def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper", dim:
                     **{q: base[q] * len(block) for q in spec.quantities if q in base}}
     else:
         def fields(block: np.ndarray) -> dict:
-            return criteria._verdict_columns(family.build(block, dim), dembo_variant)
+            return criteria._verdict_columns(family.build(block, d), dembo_variant)
 
     def columns(block: np.ndarray) -> list:
         f = fields(block)
@@ -343,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--quantities", required=True, help="comma-separated list")
     p_sw.add_argument("-o", "--output", required=True)
     p_sw.add_argument("--dembo", choices=("paper", "quarter"), default="paper")
-    p_sw.add_argument("--dim", type=_int_at_least(2, MAX_DIM), default=3,
-                      help=f"local dimension for noisy_singlet, at most {MAX_DIM}")
+    p_sw.add_argument("--dim", type=_int_at_least(2, MAX_DIM),
+                      help=f"local dimension for noisy_singlet (default 3), at most {MAX_DIM}")
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
     p_au.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), required=True)
@@ -375,8 +392,9 @@ def main(argv: list[str] | None = None) -> int:
                 hi=args.hi,
                 steps=args.steps,
                 quantities=tuple(q.strip() for q in args.quantities.split(",") if q.strip()),
+                dim=args.dim,
             )
-            return cmd_sweep(spec, args.output, args.dembo, args.dim)
+            return cmd_sweep(spec, args.output, args.dembo)
         if args.command == "audit":
             return cmd_audit(args.trials, args.seed)
     except InvalidSpec as exc:

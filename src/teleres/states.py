@@ -372,5 +372,10 @@ def load_state(path: str | os.PathLike, *, psd_tol: float = RHO2_PSD_TOL) -> Den
         raise ParseError(f"entries must be [re, im] number pairs: {exc}") from exc
     if pairs.shape != (d ** 4, 2):
         raise ParseError(f"entries must be [re, im] pairs, got shape {pairs.shape}")
+    # numpy also parses strings ("0.25") and JSON booleans as numbers; only a
+    # JSON number is one. type(), not isinstance: a bool is an int
+    if not {type(x) for entry in entries for x in entry} <= {int, float}:
+        bad = next(x for entry in entries for x in entry if type(x) not in (int, float))
+        raise ParseError(f"entries must be [re, im] number pairs, got {json.dumps(bad)}")
     mat = pairs.view(np.complex128).reshape(d * d, d * d)  # (re, im) pairs, no arithmetic on inf
     return DensityMatrix(mat, d, psd_tol=psd_tol)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -7,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from teleres import cli, noisy_singlet, rho1, rho3, save_state, states, verdict
+from teleres import NotAState, cli, noisy_singlet, rho1, rho3, save_state, states, verdict
 from teleres.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -300,6 +301,107 @@ def test_sweep_bit_identical(tmp_path):
     assert main(args + ["-o", str(a)]) == EXIT_OK
     assert main(args + ["-o", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("family", ["sigma", "rho2", "rho3", "rho_alpha"])
+def test_dim_on_a_fixed_dimension_family_is_usage_error(tmp_path, capsys, family):
+    lo, hi, _ = states.FAMILIES[family].interval
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--family", family, "--from", repr(lo + 0.25 * (hi - lo)), "--to", repr(hi),
+                 "--steps", "3", "--quantities", "lambda_max", "--dim", "3", "-o", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid sweep spec: --dim") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_noisy_singlet_dim_defaults_to_3(tmp_path):
+    args = ["sweep", "--family", "noisy_singlet", "--from", "0", "--to", "1", "--steps", "5",
+            "--quantities", "lambda_max,verdict"]
+    default, three = tmp_path / "default.csv", tmp_path / "three.csv"
+    assert main([*args, "-o", str(default)]) == EXIT_OK
+    assert main([*args, "--dim", "3", "-o", str(three)]) == EXIT_OK
+    assert default.read_bytes() == three.read_bytes()
+
+
+# ---- the CSV writer ----
+
+def _sweep_rho3(steps: int, out) -> list[str]:
+    return ["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", str(steps),
+            "--quantities", ",".join(cli._REPORT_QUANTITIES), "-o", str(out)]
+
+
+@pytest.mark.parametrize("first, second", [(200, 3), (3, 200)], ids=["shrink", "grow"])
+def test_overwrite_equals_a_fresh_write(tmp_path, first, second):
+    reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+    assert main(_sweep_rho3(first, reused)) == EXIT_OK
+    assert main(_sweep_rho3(second, reused)) == EXIT_OK
+    assert main(_sweep_rho3(second, fresh)) == EXIT_OK
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert reused.read_text().count("\n") == second + 1
+
+
+def test_output_through_a_symlink_rewrites_the_target(tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_text("old content, longer than the new file\n" * 100)
+    link.symlink_to(target)
+    assert main(["reproduce", "ex_rho1", "-o", str(link)]) == EXIT_OK
+    assert main(["reproduce", "ex_rho1", "-o", str(fresh)]) == EXIT_OK
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_output_to_dev_null(capsys):
+    assert main(["reproduce", "fig1", "-o", os.devnull]) == EXIT_OK
+    assert main(_sweep_rho3(3, os.devnull)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_a_failing_block_removes_an_existing_file(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("old content\n")
+
+    def blocks():
+        yield [np.array([0.5, 0.6]), [True, False]]
+        raise NotAState("injected failure in the second block")
+
+    with pytest.raises(NotAState, match="injected"):
+        cli._write_csv(str(path), ["param", "is_npt"], blocks())
+    assert not path.exists()
+
+
+def test_usage_errors_leave_an_existing_file_unchanged(tmp_path, capsys):
+    path = tmp_path / "old.csv"
+    old = b"old content\n" * 50
+    path.write_bytes(old)
+    base = ["sweep", "--quantities", "lambda_max", "-o", str(path), "--steps", "3"]
+    for argv in (
+        [*base, "--family", "rho3", "--from", "0.5", "--to", "0.65", "--dim", "5"],  # --dim on a fixed family
+        [*base, "--family", "rho3", "--from", "0.65", "--to", "0.5"],  # lo > hi
+        [*base, "--family", "rho2", "--from", "0.1", "--to", "0.369"],  # outside the interval
+        [*base, "--family", "noisy_singlet", "--from", "0", "--to", "1", "--dim", "9"],  # over MAX_DIM
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith(("error: invalid sweep spec", "usage:"))
+        assert path.read_bytes() == old
+
+
+def test_writer_never_truncates_on_open(tmp_path, monkeypatch):
+    flags = []
+    real_open = os.open
+
+    def recording(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", recording)
+    path = tmp_path / "out.csv"
+    path.write_text("old content\n" * 1000)
+    assert main(["reproduce", "fig1", "-o", str(path)]) == EXIT_OK
+    assert main(_sweep_rho3(3, path)) == EXIT_OK
+    assert len(flags) == 2
+    assert all(f & os.O_TRUNC == 0 and f & os.O_CREAT and f & os.O_WRONLY for f in flags)
+    assert path.read_text().count("\n") == 4
 
 
 # ---- audit ----

@@ -60,6 +60,18 @@ def _wrong_shape(doc: dict, rng) -> dict:
     return doc
 
 
+def _spelled_number(doc: dict, rng) -> dict:
+    """One part as a JSON string or boolean that numpy reads as the same
+    number, so the document is a valid state unless parts must be numbers."""
+    if rng.integers(2):
+        k, part = _at(doc, rng)
+        doc["entries"][k][part] = repr(doc["entries"][k][part])
+    else:
+        n = doc["d"] ** 2
+        doc["entries"][int(rng.integers(n)) * (n + 1)][1] = False  # a diagonal entry's imaginary part, 0.0
+    return doc
+
+
 def _bad_d(doc: dict, rng) -> dict:
     doc["d"] = [
         10 ** int(rng.integers(3, 1200)),
@@ -96,6 +108,7 @@ _DOC_MUTATIONS = (
     _bad_entries,
     lambda doc, rng: [doc],
     lambda doc, rng: {"d": doc["d"]},
+    _spelled_number,
 )
 
 

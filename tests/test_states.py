@@ -339,6 +339,27 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_state(p)
 
 
+@pytest.mark.parametrize("part", ["0.25", True, False, None], ids=["string", "true", "false", "null"])
+def test_load_rejects_parts_that_are_not_json_numbers(tmp_path, part):
+    # the maximally mixed qubit pair with one part spelled another way: the
+    # string as a diagonal entry's real part, the rest as an imaginary part
+    # of 0.0; numpy would read "0.25" and false as the numbers they spell
+    doc = {"d": 2, "entries": [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]}
+    k, re_im = (5, 0) if isinstance(part, str) else (1, 1)
+    doc["entries"][k][re_im] = part
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=f"number pairs, got {re.escape(json.dumps(part))}$"):
+        load_state(p)
+
+
+def test_load_accepts_integer_parts(tmp_path):
+    # |00><00| written with JSON integers
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"d": 2, "entries": [[1, 0]] + [[0, 0]] * 15}))
+    assert load_state(p).mat[0, 0] == 1.0
+
+
 def test_load_rejects_invalid_state(tmp_path):
     # diag(0.6, 0.5, -0.1, 0): unit trace but not PSD
     p = tmp_path / "doc.json"
