@@ -169,15 +169,21 @@ class MaximallyEntangledVector:
         if np.abs(red_a - eye).max() > 1e-10 or np.abs(red_b - eye).max() > 1e-10:
             raise NotAState("one-sided reduction is not maximally mixed")
         v.setflags(write=False)
-        self.vec = v
-        self.d = d
+        object.__setattr__(self, "vec", v)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value=None):  # also __delattr__: cached instances are shared
+        raise AttributeError(f"MaximallyEntangledVector is immutable, cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def projector(self) -> np.ndarray:
         return np.outer(self.vec, self.vec.conj())
 
 
+@functools.cache
 def phi_plus(d: int) -> MaximallyEntangledVector:
-    """(1/sqrt(d)) sum_i |ii>."""
+    """(1/sqrt(d)) sum_i |ii>, built and validated once per d and shared by every caller."""
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
     v = np.zeros(d * d, dtype=np.complex128)

@@ -118,6 +118,30 @@ def test_phi_plus_rejects_small_d():
         phi_plus(1)
 
 
+def test_phi_plus_is_built_once_per_d_and_errors_are_not_cached():
+    assert phi_plus(3) is phi_plus(3)
+    assert phi_plus(2) is not phi_plus(3)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            phi_plus(1)
+
+
+def test_maximally_entangled_vector_is_immutable():
+    # phi_plus and qutrit_me_basis share their instances with every caller
+    for shared in (phi_plus(2), qutrit_me_basis()[4]):
+        vec, d = shared.vec, shared.d
+        for name, value in (("vec", np.zeros(4)), ("d", 5), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(shared, name, value)
+        for name in ("vec", "d"):
+            with pytest.raises(AttributeError):
+                delattr(shared, name)
+        with pytest.raises(ValueError):
+            shared.vec[0] = 0.0
+        assert shared.vec is vec and shared.d == d
+    np.testing.assert_array_equal(phi_plus(2).vec, np.array([1, 0, 0, 1]) / S2)
+
+
 # ---- sigma family ----
 
 def test_sigma_example_entries():
