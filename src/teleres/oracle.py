@@ -11,18 +11,17 @@ A harness check takes the trials' streams, each valid only until the next
 is drawn, and returns one signed margin per trial; it solves all matrices
 of one shape in one zgeev call and checks each shape's states as one stack.
 
-Haar unitaries are the Q of a complex Gaussian matrix whose R has a
-positive diagonal, which is unique (Mezzadri, Notices AMS 54, 592
-(2007)); one Gram-Schmidt pass with re-orthogonalisation (CGS2) gives it for
-a whole stack of samples with no QR call and no phase fix, and with the stack
-axis innermost each of its steps is one vector op over every sample. The
-sampler scores its W = U_A U_B^T in that layout, with no copy, by one matrix product.
+Haar unitaries are the Q of a complex Gaussian matrix whose R has a positive diagonal,
+which is unique (Mezzadri, Notices AMS 54, 592 (2007)); CGS2, Gram-Schmidt twice per
+column, gives it in place for a stack with the samples innermost, with no QR call. The
+sampler draws, orthonormalises and scores blocks in one workspace per thread, kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ def _check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class SamplingBudget:
-    """Number of Haar local-unitary pairs to draw, plus the stream seed."""
+    """Number of Haar unitaries W = U_A U_B^T to sample, plus the stream seed."""
 
     n_unitaries: int
     seed: int = 0
@@ -70,15 +69,21 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _cgs2(q: np.ndarray, s: np.ndarray) -> None:
+    """In place, Q of G = QR, R's diagonal positive, for square q = G laid out (row, column, *stack), by CGS2."""
+    for j in range(q.shape[1]):  # Gram-Schmidt, each column twice; s is scratch, q's shape plus two rows
+        v, p, pv, c, t = q[:, j], q[:, :j], s[:-2, :j], s[-2], s[-1]
+        for _ in range(2 if j else 0):  # v -= (p * (p.conj() * v[:, None]).sum(0)).sum(1), through out=
+            np.multiply(p, np.multiply(np.conjugate(p, out=pv), v[:, None], out=pv).sum(0, out=c[:j]), out=pv)
+            v -= pv.sum(1, out=t)
+        norm2 = np.multiply(np.conjugate(v, out=t), v, out=t).real.sum(0, out=c.real[0, ...])
+        v *= np.divide(1, np.sqrt(norm2, out=norm2), out=norm2)  # = v / |v| bit for bit, at a third of the cost
+
+
 def _haar_q(g: np.ndarray) -> np.ndarray:
-    """Q of G = QR with R's diagonal positive, for each matrix of a (..., d, d) stack: CGS2
-    (Gram-Schmidt, each column twice) on a copy with the stack axes innermost; g is untouched."""
+    """Q of each matrix of a (..., d, d) stack by ``_cgs2`` on a copy, stack axes innermost; g is untouched."""
     q = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # q[i, j] holds entry (i, j) of every matrix
-    for j in range(q.shape[1]):
-        v, p = q[:, j], q[:, :j]
-        for _ in range(2 if j else 0):
-            v -= (p * (p.conj() * v[:, None]).sum(0)).sum(1)
-        v *= 1 / np.sqrt((v.conj() * v).real.sum(0))  # = v / |v| bit for bit, at a third of the cost
+    _cgs2(q, np.empty((len(q) + 2, *q.shape[1:]), q.dtype))
     return np.moveaxis(q, (0, 1), (-2, -1))  # a view in g's axis order
 
 
@@ -126,16 +131,15 @@ def random_density_matrix(
 
 
 def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> float:
-    """Max overlap of rho with (U_A x U_B)|phi_d+> over sampled Haar pairs.
+    """Max overlap of rho with (W x I)|phi_d+> over sampled Haar unitaries W.
 
-    A pair enters only through W = U_A U_B^T, since (U_A x U_B)|phi_d+> =
+    A local pair enters only through W = U_A U_B^T, since (U_A x U_B)|phi_d+> =
     (W x I)|phi_d+> is W's rows over sqrt(d), and W is Haar when U_A and U_B
     are independent and Haar; so each sample is one Haar W, drawn from one
     sequential counter-based stream laid out (take, d, d, 2), (re, im) last,
     and sample k is the same for every budget that reaches it. The identity
     pair is evaluated first, so the result is a lower bound on the fully
-    entangled fraction that is monotone in the budget for a fixed seed. A
-    block is scored where Gram-Schmidt left it: one product rho @ w, no copy.
+    entangled fraction that is monotone in the budget for a fixed seed.
     """
     if rho.mat.ndim != 2:
         raise linalg.DimensionMismatch(f"sampled_singlet_fraction takes one state, got a stack of {len(rho.mat)}")
@@ -143,12 +147,17 @@ def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> floa
     psi = phi_plus(d).vec
     best = float(np.vdot(psi, rho.mat @ psi).real)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(budget.seed)))
-    for first in range(0, budget.n_unitaries, _SAMPLE_BLOCK):
-        take = min(_SAMPLE_BLOCK, budget.n_unitaries - first)
-        q = _haar_q(rng.standard_normal((take, d, d, 2)).view(np.complex128)[..., 0])
-        w = np.moveaxis(q, (1, 2), (0, 1)).reshape(d * d, take)  # a view, not a copy: column k is sample k's W
-        y = rho.mat @ w
-        best = max(best, float((w.real * y.real + w.imag * y.imag).sum(0).max()) / d)  # max(x) / d = max(x / d)
+    block = max(1, _SAMPLE_ENTRIES // (d * d))
+    if (ws := getattr(_workspace, "buf", None)) is None or ws.size < (2 * d + 2) * d * block:  # once per thread
+        ws = _workspace.buf = np.empty(3 * max(_SAMPLE_ENTRIES, d * d), np.complex128)
+    for take in (min(block, budget.n_unitaries - first) for first in range(0, budget.n_unitaries, block)):
+        q, s = np.split(ws[:(2 * d + 2) * d * take].reshape(2 * d + 2, d, take), [d])  # s: draw, scratch, rho @ w
+        z = rng.standard_normal(out=s[:d].view(np.float64).reshape(take, d, d, 2))
+        np.copyto(q, np.moveaxis(z.view(np.complex128)[..., 0], 0, -1))  # samples innermost
+        _cgs2(q, s)
+        w, y = q.reshape(d * d, take), np.matmul(rho.mat, q.reshape(d * d, take), out=s[:d].reshape(d * d, take))
+        np.add(np.multiply(y.real, w.real, out=y.real), np.multiply(y.imag, w.imag, out=y.imag), out=y.real)
+        best = max(best, float(y.real.sum(0, out=s[-1].real[0]).max()) / d)  # max(x) / d = max(x / d)
     return best
 
 
@@ -192,7 +201,8 @@ class HarnessReport:
 # and per-trial arithmetic stay per trial, so a margin is its trial's alone.
 
 _CHUNK = 256  # trials per check call, so that a check's stacks stay small
-_SAMPLE_BLOCK = 8192  # Haar samples per block of sampled_singlet_fraction, which bounds its memory per block
+_SAMPLE_ENTRIES = 2**16  # complex entries per block of sampled_singlet_fraction; a workspace is three blocks
+_workspace = threading.local()  # each thread's own sampler workspace, kept between its calls
 
 
 def _per_shape(mats: list[np.ndarray], fn) -> np.ndarray:

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +104,7 @@ def test_haar_helper_stays_unitary_on_ill_conditioned_input():
 
 
 def test_sampled_matches_qr_reference_sampler():
-    # budget 10 000 crosses the 8192-pair chunk
+    # budget 10 000 crosses a block at d = 3 and 4 (7281 and 4096 samples), not at d = 2 (16 384)
     for d in (2, 3, 4):
         rho = random_density_matrix(d, _rng(31, d))
         for n in (1, 4096, 10_000):
@@ -110,10 +113,12 @@ def test_sampled_matches_qr_reference_sampler():
             assert got == pytest.approx(_qr_sampled_singlet_fraction(rho, budget), rel=0, abs=1e-12)
 
 
-# sampled_singlet_fraction at the commit before the sampler scored its blocks in place:
-# (state, seed) -> {budget: value}; 10 000 crosses the 8192-sample block
+# sampled_singlet_fraction at the commit before the sampler scored its blocks in place
+# (20 000 at the commit before its per-thread workspace): (state, seed) -> {budget: value};
+# 10 000 crosses a block at d = 3 and 4, and 20 000 at d = 2, where the maximum rises past sample 16 384
 _PINNED_SAMPLED = {
-    "rho1": (rho1, 2028, {1: 0.20812700309742713, 4096: 0.495395331404738, 10_000: 0.49902320777111797}),
+    "rho1": (rho1, 2028, {1: 0.20812700309742713, 4096: 0.495395331404738, 10_000: 0.49902320777111797,
+                          20_000: 0.4993332367660767}),
     "rho2(0.35)": (lambda: rho2(0.35), 2027, {1: 0.07000000000000002, 4096: 0.36132602822348864,
                                               10_000: 0.38850106547863317}),
     "rank-1 d=3": (lambda: random_density_matrix(3, _rng(32, 3), rank=1), 2024,
@@ -132,13 +137,108 @@ def test_sampled_values_are_pinned(name):
 
 
 def test_haar_helper_returns_a_view_of_a_samples_innermost_block():
-    # the sampler reads each block as a (d^2, samples) matrix with no copy
+    # Gram-Schmidt leaves Q samples innermost, as the sampler scores it: a (d^2, samples) matrix with no copy
     for d in (2, 3, 4):
         z = np.random.default_rng(d).standard_normal((50, d, d, 2))
         q = _haar_q(z.view(np.complex128)[..., 0])
         w = np.moveaxis(q, (1, 2), (0, 1)).reshape(d * d, 50)
         assert np.shares_memory(w, q)
         np.testing.assert_array_equal(w[:, 7], q[7].reshape(-1))
+
+
+def _in_fresh_thread(fn):
+    """fn() run in a new thread, so on a new sampler workspace; its result or its exception."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # handed back to the test's thread below
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+# (state, budget) calls at d = 3, 2, 4, 2 and 3, each with its own budget and seed; 9000 and 20 000 cross a block
+_SAMPLER_CALLS = [
+    (lambda: random_density_matrix(3, _rng(61, 3)), SamplingBudget(9000, seed=3)),
+    (lambda: random_density_matrix(2, _rng(61, 2)), SamplingBudget(20_000, seed=2)),
+    (lambda: random_density_matrix(4, _rng(61, 4)), SamplingBudget(5000, seed=4)),
+    (rho1, SamplingBudget(1234, seed=5)),
+    (lambda: noisy_singlet(0.3, 3), SamplingBudget(300, seed=6)),
+]
+
+
+def test_sampled_values_do_not_depend_on_block_size(monkeypatch):
+    for make, budget in _SAMPLER_CALLS:
+        rho = make()
+        want = sampled_singlet_fraction(rho, budget)
+        monkeypatch.setattr(oracle, "_SAMPLE_ENTRIES", 50 * rho.d * rho.d)  # 50-sample blocks
+        assert sampled_singlet_fraction(rho, budget) == pytest.approx(want, rel=0, abs=1e-15)
+        monkeypatch.undo()
+
+
+def test_sampled_values_do_not_depend_on_call_order():
+    # one workspace serves every d in turn; nothing left in it by one call reaches the next
+    states = [(make(), budget) for make, budget in _SAMPLER_CALLS]
+    fresh = [_in_fresh_thread(lambda rho=rho, budget=budget: sampled_singlet_fraction(rho, budget))
+             for rho, budget in states]
+    assert _in_fresh_thread(lambda: [sampled_singlet_fraction(rho, budget) for rho, budget in states]) == fresh
+    assert [sampled_singlet_fraction(rho, budget) for rho, budget in states[::-1]] == fresh[::-1]
+
+
+def test_sampled_values_agree_across_concurrent_threads():
+    # more threads than cores, switching often: each thread has its own workspace
+    states = [(make(), budget) for make, budget in _SAMPLER_CALLS]
+    serial = [sampled_singlet_fraction(rho, budget) for rho, budget in states]
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def worker(i):
+        order = states[i:] + states[:i]
+        barrier.wait()
+        results[i] = [sampled_singlet_fraction(rho, budget) for rho, budget in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(4):
+        assert results[i] == serial[i:] + serial[:i]
+
+
+def test_sampler_memory_is_bounded_and_reused():
+    # the workspace is sized by _SAMPLE_ENTRIES alone, whatever d and the budget; a later call allocates no block
+    rho = noisy_singlet(0.5, 8)
+
+    def two_calls():
+        tracemalloc.start()
+        try:
+            sampled_singlet_fraction(rho, SamplingBudget(20_000, seed=1))
+            first_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            sampled_singlet_fraction(rho, SamplingBudget(20_000, seed=1))
+            return first_peak, tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+
+    first_peak, second = _in_fresh_thread(two_calls)
+    assert first_peak <= 5 * 2**20
+    assert second <= 2**20
 
 
 def test_haar_helper_ignores_input_memory_layout():
