@@ -3,18 +3,16 @@
 Everything here is deliberately independent of the package's own
 eigensolver: the package runs LAPACK's Hermitian driver (zheevd), while
 every spectrum here comes from the general eigenvalue driver (zgeev), so
-the audit and the artifact form a dual route. Random streams are
-counter-based (Philox) and derived from (seed, trial index), so results
-do not depend on execution order.
+the audit and the artifact form a dual route. The harness's streams are
+counter-based (Philox) and derived from (seed, trial index), so results do
+not depend on execution order; the sampler reads one SFC64 stream per seed.
 
 A harness check takes the trials' streams, each valid only until the next
 is drawn, and returns one signed margin per trial; it solves all matrices
 of one shape in one zgeev call and checks each shape's states as one stack.
 
-Haar unitaries are the Q of a complex Gaussian matrix whose R has a positive diagonal,
-which is unique (Mezzadri, Notices AMS 54, 592 (2007)); CGS2, Gram-Schmidt twice per
-column, gives it in place for a stack with the samples innermost, with no QR call. The
-sampler draws, orthonormalises and scores blocks in one workspace per thread, kept between calls.
+Haar unitaries are the phase-fixed Q of a complex Gaussian G (Mezzadri, Notices AMS 54, 592 (2007)), by
+CGS2 in place with no QR call; the sampler orthonormalises G's rows instead: (Q of G^T)^T, Haar too.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ __all__ = [
     "SEED_MAX",
 ]
 
-SEED_MAX = 2**64 - 1  # seeds key uint64 Philox streams
+SEED_MAX = 2**64 - 1  # a seed keys the harness's uint64 Philox streams and seeds the sampler's SFC64
 
 
 def _check_seed(seed: int) -> None:
@@ -53,7 +51,7 @@ def _check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class SamplingBudget:
-    """Number of Haar unitaries W = U_A U_B^T to sample, plus the stream seed."""
+    """Number of Haar unitaries W = U_A U_B^T to sample, plus the seed of the sampler's SFC64 stream."""
 
     n_unitaries: int
     seed: int = 0
@@ -69,22 +67,26 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _sample_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.SFC64(seed))  # the sampler reads one stream in order: no key, so SFC64
+
+
 def _cgs2(q: np.ndarray, s: np.ndarray) -> None:
-    """In place, Q of G = QR, R's diagonal positive, for square q = G laid out (row, column, *stack), by CGS2."""
-    for j in range(q.shape[1]):  # Gram-Schmidt, each column twice; s is scratch, q's shape plus two rows
-        v, p, pv, c, t = q[:, j], q[:, :j], s[:-2, :j], s[-2], s[-1]
-        for _ in range(2 if j else 0):  # v -= (p * (p.conj() * v[:, None]).sum(0)).sum(1), through out=
-            np.multiply(p, np.multiply(np.conjugate(p, out=pv), v[:, None], out=pv).sum(0, out=c[:j]), out=pv)
-            v -= pv.sum(1, out=t)
+    """In place, CGS2 on the rows of q = G laid out (row, column, *stack): M of G = LM, L's diagonal positive."""
+    for j in range(len(q)):  # Gram-Schmidt, each vector twice; s is scratch, q's shape plus two vectors
+        v, p, pv, c, t = q[j], q[:j], s[:j], s[-2], s[-1]
+        for _ in range(2 if j else 0):  # v -= (p * (p.conj() * v).sum(1)[:, None]).sum(0), through out=
+            np.multiply(p, np.multiply(np.conjugate(p, out=pv), v, out=pv).sum(1, out=c[:j])[:, None], out=pv)
+            v -= pv.sum(0, out=t)
         norm2 = np.multiply(np.conjugate(v, out=t), v, out=t).real.sum(0, out=c.real[0, ...])
         v *= np.divide(1, np.sqrt(norm2, out=norm2), out=norm2)  # = v / |v| bit for bit, at a third of the cost
 
 
 def _haar_q(g: np.ndarray) -> np.ndarray:
-    """Q of each matrix of a (..., d, d) stack by ``_cgs2`` on a copy, stack axes innermost; g is untouched."""
-    q = np.moveaxis(g, (-2, -1), (0, 1)).copy()  # q[i, j] holds entry (i, j) of every matrix
+    """Q of each matrix of a (..., d, d) stack: ``_cgs2`` on a copy of its transpose; g is untouched."""
+    q = np.moveaxis(g, (-1, -2), (0, 1)).copy()  # G^T, stack innermost: q[j, i] holds entry (i, j) of every matrix
     _cgs2(q, np.empty((len(q) + 2, *q.shape[1:]), q.dtype))
-    return np.moveaxis(q, (0, 1), (-2, -1))  # a view in g's axis order
+    return np.moveaxis(q, (0, 1), (-1, -2))  # a view in g's axis order
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,9 +125,7 @@ def _validated(m: np.ndarray) -> DensityMatrix:
     return DensityMatrix._with_spectrum(m, math.isqrt(m.shape[-1]), _spectrum(m))
 
 
-def random_density_matrix(
-    d: int, rng: np.random.Generator, rank: int | None = None
-) -> DensityMatrix:
+def random_density_matrix(d: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
     """Generic full-rank state GG^dag / Tr, or a rank-limited projector mixture."""
     return _validated(_density_draw(d, rng, rank))
 
@@ -134,26 +134,26 @@ def sampled_singlet_fraction(rho: DensityMatrix, budget: SamplingBudget) -> floa
     """Max overlap of rho with (W x I)|phi_d+> over sampled Haar unitaries W.
 
     A local pair enters only through W = U_A U_B^T, since (U_A x U_B)|phi_d+> =
-    (W x I)|phi_d+> is W's rows over sqrt(d), and W is Haar when U_A and U_B
-    are independent and Haar; so each sample is one Haar W, drawn from one
-    sequential counter-based stream laid out (take, d, d, 2), (re, im) last,
-    and sample k is the same for every budget that reaches it. The identity
-    pair is evaluated first, so the result is a lower bound on the fully
-    entangled fraction that is monotone in the budget for a fixed seed.
+    (W x I)|phi_d+> is W's rows over sqrt(d), and W is Haar when U_A and U_B are
+    independent and Haar. Each sample is one Haar W, the rows of a complex Gaussian G
+    orthonormalised: W^T is the phase-fixed Q of the Gaussian G^T, so Haar, and so is
+    W. G comes from one SFC64 stream laid out (take, d, d, 2), (re, im) last; sample k
+    is the same for every budget that reaches it. The identity pair is evaluated first,
+    so the result is a lower bound on the FEF, monotone in the budget for a fixed seed.
     """
     if rho.mat.ndim != 2:
         raise linalg.DimensionMismatch(f"sampled_singlet_fraction takes one state, got a stack of {len(rho.mat)}")
     d = rho.d
     psi = phi_plus(d).vec
     best = float(np.vdot(psi, rho.mat @ psi).real)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(budget.seed)))
+    rng = _sample_rng(budget.seed)
     block = max(1, _SAMPLE_ENTRIES // (d * d))
     if (ws := getattr(_workspace, "buf", None)) is None or ws.size < (2 * d + 2) * d * block:  # once per thread
         ws = _workspace.buf = np.empty(3 * max(_SAMPLE_ENTRIES, d * d), np.complex128)
     for take in (min(block, budget.n_unitaries - first) for first in range(0, budget.n_unitaries, block)):
         q, s = np.split(ws[:(2 * d + 2) * d * take].reshape(2 * d + 2, d, take), [d])  # s: draw, scratch, rho @ w
         z = rng.standard_normal(out=s[:d].view(np.float64).reshape(take, d, d, 2))
-        np.copyto(q, np.moveaxis(z.view(np.complex128)[..., 0], 0, -1))  # samples innermost
+        np.copyto(q, np.moveaxis(z.view(np.complex128)[..., 0], 0, -1))  # q[i] is row i, samples innermost
         _cgs2(q, s)
         w, y = q.reshape(d * d, take), np.matmul(rho.mat, q.reshape(d * d, take), out=s[:d].reshape(d * d, take))
         np.add(np.multiply(y.real, w.real, out=y.real), np.multiply(y.imag, w.imag, out=y.imag), out=y.real)

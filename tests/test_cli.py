@@ -412,6 +412,24 @@ def test_audit_passes(capsys):
     assert "audit passed" in out
 
 
+# `teleres audit --trials 1000 --seed 42` stdout, byte for byte: the harness draws from its own keyed
+# Philox streams, so no other stream in the oracle may move a margin
+_AUDIT_1000_SEED_42 = """\
+trace_sandwich: ok (1000 trials, 0 violations, worst slack 2.675e-01 at trial 746)
+weyl_extremes: ok (1000 trials, 0 violations, worst slack 4.646e-03 at trial 854)
+lambda_max_range: ok (1000 trials, 0 violations, worst slack 1.497e-01 at trial 922)
+fef_below_lambda_max_d2: ok (1000 trials, 0 violations, worst slack 7.145e-04 at trial 466)
+basis_bound_below_lambda_max_d3: ok (1000 trials, 0 violations, worst slack 6.466e-02 at trial 397)
+dembo_quarter_sandwich: ok (1000 trials, 0 violations, worst slack 3.945e-06 at trial 638)
+audit passed: 6 checks x 1000 trials, seed=42
+"""
+
+
+def test_audit_output_is_pinned(capsys):
+    assert main(["audit", "--trials", "1000", "--seed", "42"]) == EXIT_OK
+    assert capsys.readouterr().out == _AUDIT_1000_SEED_42
+
+
 def test_audit_zero_trials_usage_error(tmp_path, capsys):
     sweep = ["sweep", "--family", "noisy_singlet", "--from", "0", "--to", "1", "--steps", "3",
              "--quantities", "lambda_max"]

@@ -52,16 +52,16 @@ def _qr_haar(g):
 
 
 def _qr_sampled_singlet_fraction(rho, budget):
-    """The sampler on the reference route, drawing the same stream."""
+    """The sampler on the reference route, drawing the same stream: W^T is the phase-fixed Q of G^T."""
     d = rho.d
     psi = phi_plus(d).vec
     best = float(np.vdot(psi, rho.mat @ psi).real)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(budget.seed)))
+    rng = oracle._sample_rng(budget.seed)
     remaining = budget.n_unitaries
     while remaining > 0:
         take = min(8192, remaining)
         z = rng.standard_normal((take, d, d, 2))
-        u = _qr_haar(z[..., 0] + 1j * z[..., 1])
+        u = np.swapaxes(_qr_haar(np.swapaxes(z[..., 0] + 1j * z[..., 1], -1, -2)), -1, -2)
         vs = u.reshape(take, d * d) / np.sqrt(d)
         best = max(best, float(np.einsum("ki,ij,kj->k", vs.conj(), rho.mat, vs).real.max()))
         remaining -= take
@@ -113,16 +113,15 @@ def test_sampled_matches_qr_reference_sampler():
             assert got == pytest.approx(_qr_sampled_singlet_fraction(rho, budget), rel=0, abs=1e-12)
 
 
-# sampled_singlet_fraction at the commit before the sampler scored its blocks in place
-# (20 000 at the commit before its per-thread workspace): (state, seed) -> {budget: value};
-# 10 000 crosses a block at d = 3 and 4, and 20 000 at d = 2, where the maximum rises past sample 16 384
+# sampled_singlet_fraction on the SFC64 stream with rows orthonormalised: (state, seed) -> {budget: value};
+# 10 000 crosses a block at d = 3 and 4, and 20 000 at d = 2; rho2(0.35) still rises past its block at 7281
 _PINNED_SAMPLED = {
-    "rho1": (rho1, 2028, {1: 0.20812700309742713, 4096: 0.495395331404738, 10_000: 0.49902320777111797,
-                          20_000: 0.4993332367660767}),
-    "rho2(0.35)": (lambda: rho2(0.35), 2027, {1: 0.07000000000000002, 4096: 0.36132602822348864,
-                                              10_000: 0.38850106547863317}),
+    "rho1": (rho1, 2028, {1: 0.20710678118654754, 4096: 0.499964576906647, 10_000: 0.499964576906647,
+                          20_000: 0.499964576906647}),
+    "rho2(0.35)": (lambda: rho2(0.35), 2027, {1: 0.14835167164573473, 4096: 0.3644667509727186,
+                                              10_000: 0.3696075905430645}),
     "rank-1 d=3": (lambda: random_density_matrix(3, _rng(32, 3), rank=1), 2024,
-                   {1: 0.13064783444787748, 4096: 0.560861317026382, 10_000: 0.6177955524603321}),
+                   {1: 0.13064783444787748, 4096: 0.6246008435553309, 10_000: 0.6246008435553309}),
     "noisy_singlet(0.5, 4)": (lambda: noisy_singlet(0.5, 4), 2024, {1: 0.53125, 4096: 0.53125, 10_000: 0.53125}),
 }
 
@@ -137,13 +136,30 @@ def test_sampled_values_are_pinned(name):
 
 
 def test_haar_helper_returns_a_view_of_a_samples_innermost_block():
-    # Gram-Schmidt leaves Q samples innermost, as the sampler scores it: a (d^2, samples) matrix with no copy
+    # Gram-Schmidt leaves Q laid out (column, row, sample): its stacked columns, (d^2, samples), with no copy
     for d in (2, 3, 4):
         z = np.random.default_rng(d).standard_normal((50, d, d, 2))
         q = _haar_q(z.view(np.complex128)[..., 0])
-        w = np.moveaxis(q, (1, 2), (0, 1)).reshape(d * d, 50)
+        w = q.transpose(2, 1, 0).reshape(d * d, 50)
         assert np.shares_memory(w, q)
-        np.testing.assert_array_equal(w[:, 7], q[7].reshape(-1))
+        np.testing.assert_array_equal(w[:, 7], q[7].T.reshape(-1))
+
+
+def test_row_gram_schmidt_of_gaussian_blocks_is_haar():
+    # W = L^-1 G, G's rows orthonormalised: W^T is the phase-fixed Q of the Gaussian G^T, so W is Haar;
+    # its moments E|W_ij|^2 = 1/d, E|W_ij|^4 = 2/(d(d+1)) and E|tr W|^2 = 1 hold within 5 standard errors
+    rng = np.random.default_rng(1919)
+    n = 100_000
+    for d in (2, 3, 4):
+        q = rng.standard_normal((d, d, n)) + 1j * rng.standard_normal((d, d, n))  # (row, column, sample)
+        oracle._cgs2(q, np.empty((d + 2, d, n), np.complex128))
+        w = np.moveaxis(q, -1, 0)
+        gram = w @ np.swapaxes(w, -1, -2).conj()
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(d), gram.shape), rtol=0, atol=1e-12)
+        abs2 = np.abs(q) ** 2
+        for x, want in ((abs2, 1 / d), (abs2**2, 2 / (d * (d + 1))), (np.abs(np.trace(q)) ** 2, 1.0)):
+            mean, se = x.mean(-1), x.std(-1) / math.sqrt(n)
+            assert np.all(np.abs(mean - want) <= 5 * se), (d, want, mean, se)
 
 
 def _in_fresh_thread(fn):
