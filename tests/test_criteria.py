@@ -6,6 +6,7 @@ import pytest
 from teleres import (
     DensityMatrix,
     FilterOperator,
+    MaximallyEntangledVector,
     Verdict,
     dembo_bounds,
     f_opt_locc_pt,
@@ -34,7 +35,8 @@ from teleres import (
 from teleres import criteria, linalg
 from teleres.criteria import DemboDecomposition, DimensionUnsupported
 from teleres.linalg import DimensionMismatch, hermitian_eigen, trace_product
-from teleres.oracle import _rng, random_density_matrix
+from teleres.oracle import _rng, haar_unitary, random_density_matrix
+from teleres.states import FAMILIES
 from conftest import random_state
 
 S2 = math.sqrt(2.0)
@@ -367,6 +369,71 @@ def test_basis_fraction_maximally_mixed():
 def test_basis_fraction_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         singlet_fraction_basis(rho1(), qutrit_me_basis())
+
+
+def test_basis_fraction_empty_basis():
+    with pytest.raises(ValueError, match="basis is empty"):
+        singlet_fraction_basis(noisy_singlet(0.5, 3), [])
+
+
+def _dense_basis_fraction(rho, basis):
+    # the full d^2 x d^2 contraction, zero amplitudes included: the support path must give its exact bits
+    vecs = np.array([b.vec for b in basis])
+    return np.einsum("ki,...ij,kj->...k", vecs.conj(), rho.mat, vecs).real.max(-1)
+
+
+def _mixed_width_basis():
+    # supports of width 3 (phi+ and the qutrit basis), 5 (a rotation of two local levels) and 9 (Haar)
+    rot = np.eye(3, dtype=complex)
+    rot[:2, :2] = [[0.6, 0.8j], [0.8j, 0.6]]
+    dense = haar_unitary(3, _rng(20, 0))
+    return [phi_plus(3)] + [MaximallyEntangledVector(np.kron(u, np.eye(3)) @ phi_plus(3).vec)
+                            for u in (rot, dense)] + list(qutrit_me_basis())
+
+
+def _random_d3_states():
+    rng = _rng(20, 1)
+    return [random_density_matrix(3, rng, rank) for rank in [None, *range(1, 10)] for _ in range(4)]
+
+
+def test_mixed_width_basis_has_the_intended_supports():
+    widths = sorted({int(np.count_nonzero(b.vec)) for b in _mixed_width_basis()})
+    assert widths == [3, 5, 9]
+
+
+@pytest.mark.parametrize("basis", [qutrit_me_basis(), _mixed_width_basis()], ids=["qutrit", "mixed"])
+def test_basis_fraction_on_supports_is_the_dense_contraction_bit_for_bit(basis):
+    states = _random_d3_states()
+    for rho in states:
+        assert singlet_fraction_basis(rho, basis) == _dense_basis_fraction(rho, basis)
+    stack = DensityMatrix(np.array([rho.mat for rho in states]), 3)
+    np.testing.assert_array_equal(singlet_fraction_basis(stack, basis), _dense_basis_fraction(stack, basis))
+    for name, family in FAMILIES.items():
+        if family.d not in (3, None):
+            continue
+        lo, hi, open_lo = family.interval
+        params = np.linspace(lo, hi, 201)[1:] if open_lo else np.linspace(lo, hi, 200)
+        rho = family.build(params, 3)
+        np.testing.assert_array_equal(singlet_fraction_basis(rho, basis), _dense_basis_fraction(rho, basis),
+                                      err_msg=name)
+
+
+def test_basis_fraction_list_basis_matches_tuple():
+    basis = _mixed_width_basis()
+    states = _random_d3_states()
+    stack = DensityMatrix(np.array([rho.mat for rho in states]), 3)
+    np.testing.assert_array_equal(singlet_fraction_basis(stack, basis), singlet_fraction_basis(stack, tuple(basis)))
+    assert singlet_fraction_basis(states[0], list(qutrit_me_basis())) == singlet_fraction_basis(
+        states[0], qutrit_me_basis())
+
+
+def test_basis_support_is_derived_once_per_basis():
+    criteria._support.cache_clear()
+    rho = noisy_singlet(0.5, 3)
+    for basis in (qutrit_me_basis(), list(qutrit_me_basis()), qutrit_me_basis()):
+        singlet_fraction_basis(rho, basis)
+    info = criteria._support.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
 
 def test_fef_examples():

@@ -114,7 +114,8 @@ def test_sampled_matches_qr_reference_sampler():
 
 
 # sampled_singlet_fraction on the SFC64 stream with rows orthonormalised: (state, seed) -> {budget: value};
-# 10 000 crosses a block at d = 3 and 4, and 20 000 at d = 2; rho2(0.35) still rises past its block at 7281
+# 10 000 crosses a block at d = 3 and 4, and 20 000 at d = 2. The maximum rises past the first block in three
+# cases: rho2(0.35) past 7281 samples, "full-rank d=2" past 16 384 and "full-rank d=4" past 4096
 _PINNED_SAMPLED = {
     "rho1": (rho1, 2028, {1: 0.20710678118654754, 4096: 0.499964576906647, 10_000: 0.499964576906647,
                           20_000: 0.499964576906647}),
@@ -123,6 +124,10 @@ _PINNED_SAMPLED = {
     "rank-1 d=3": (lambda: random_density_matrix(3, _rng(32, 3), rank=1), 2024,
                    {1: 0.13064783444787748, 4096: 0.6246008435553309, 10_000: 0.6246008435553309}),
     "noisy_singlet(0.5, 4)": (lambda: noisy_singlet(0.5, 4), 2024, {1: 0.53125, 4096: 0.53125, 10_000: 0.53125}),
+    "full-rank d=2": (lambda: random_density_matrix(2, _rng(33, 2)), 2027,
+                      {1: 0.25861160531925, 16_384: 0.466315771314586, 20_000: 0.4664901650418675}),
+    "full-rank d=4": (lambda: random_density_matrix(4, _rng(34, 4)), 2024,
+                      {1: 0.07181072485282601, 4096: 0.11801826852584626, 10_000: 0.1296894162634308}),
 }
 
 
