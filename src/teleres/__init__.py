@@ -2,11 +2,11 @@
 quantum-teleportation resource.
 
 Criteria implemented: singlet-fraction bounds (exact two-qubit fully
-entangled fraction, maximally-entangled-basis overlap, filtered LOCC
-value via the partial transpose or its structural physical
-approximation), the maximum-eigenvalue test, and two-sided Dembo
-eigenvalue bounds, plus an independent brute-force audit harness and a
-CLI.
+entangled fraction, maximally-entangled-basis overlap, two-qubit filtered
+LOCC value via the partial transpose or its structural physical
+approximation, the SPA, which is defined at every d), the maximum-
+eigenvalue test and two-sided Dembo eigenvalue bounds, plus an
+independent brute-force audit harness and a CLI.
 """
 
 from .linalg import (
@@ -49,6 +49,7 @@ from .criteria import (
     partial_transpose,
     sigma_spa_threshold,
     singlet_fraction_basis,
+    spa_pt,
     spa_pt_2qubit,
     spa_trace_identity,
     verdict,

@@ -29,7 +29,7 @@ from .criteria import (
     max_eigenvalue,
     sigma_spa_threshold,
     singlet_fraction_basis,
-    spa_pt_2qubit,
+    spa_pt,
     verdict,
     x_opt,
 )
@@ -202,9 +202,8 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
 
     if target == "ex_sigma1":
         sig = _sigma1()
-        spa = spa_pt_2qubit(sig)
         rows = [
-            row("trace_xopt_spa_a1_x18", 4.9, 18.0 * trace_product(x_opt(FilterOperator(1.0)), spa.mat).real),
+            row("trace_xopt_spa_a1_x18", 4.9, 18.0 * trace_product(x_opt(FilterOperator(1.0)), spa_pt(sig).mat).real),
             row("f_opt_spa_a0.78", 0.4966, f_opt_locc_spa(sig, FilterOperator(0.78)), 1e-4),
             row("f_opt_spa_a1", 0.05, f_opt_locc_spa(sig, FilterOperator(1.0)), 1e-4),
             row("filter_threshold", 0.7781, sigma_spa_threshold(0.25, 0.4), 1e-4),

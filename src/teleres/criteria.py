@@ -1,8 +1,8 @@
 """Teleportation-usefulness criteria for bipartite mixed states.
 
 Covers partial transposition and its structural physical approximation
-(SPA), singlet-fraction estimates along three routes (filtered LOCC value,
-basis overlap, exact two-qubit fully entangled fraction), the
+(SPA, at every d), singlet-fraction estimates along three routes (filtered
+LOCC value, basis overlap, exact two-qubit fully entangled fraction), the
 maximum-eigenvalue criterion, teleportation-fidelity bounds, and two-sided
 Dembo eigenvalue bounds from a bordered block split.
 
@@ -31,6 +31,7 @@ __all__ = [
     "Verdict",
     "partial_transpose",
     "is_npt",
+    "spa_pt",
     "spa_pt_2qubit",
     "spa_trace_identity",
     "x_opt",
@@ -109,25 +110,22 @@ def is_npt(rho: DensityMatrix) -> bool:
     return _py(_pt_min(rho) < -NPT_TOL)
 
 
-def spa_pt_2qubit(rho: DensityMatrix) -> DensityMatrix:
-    """Structural physical approximation of the partial transpose, two qubits.
+def spa_pt(rho: DensityMatrix) -> DensityMatrix:
+    """Structural physical approximation of the partial transpose:
+    (rho^Gamma + d I) / (d^3 + 1) (Horodecki & Ekert, PRL 89, 127902 (2002)).
 
-    Entry map: diagonal (2 + e_ii)/9; off-diagonal (E12, E13, E14, E23,
-    E24, E34) = (e12*, e13, e23, e14, e24, e34*)/9. Completely positive,
-    so the output is always a valid state.
+    The Choi matrix of id x T has smallest eigenvalue -d, so adding d Tr(.) I
+    makes the map completely positive and its output a state; d^3 + 1 is
+    the trace of rho^Gamma + d I. Off-diagonal entries are rho^Gamma's, divided.
     """
-    if rho.d != 2:
-        raise DimensionUnsupported(f"SPA-PT entry map is defined for d=2, got d={rho.d}")
-    e = rho.mat
-    m = np.zeros(e.shape, dtype=np.complex128)
-    diag = np.arange(4)
-    m[..., diag, diag] = (2.0 + e[..., diag, diag]) / 9.0
-    rows, cols = (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)  # E12 ... E34, 0-based
-    src = e[..., (0, 0, 1, 0, 1, 2), (1, 2, 2, 3, 3, 3)]  # e12, e13, e23, e14, e24, e34
-    upper = np.where([True, False, False, False, False, True], src.conj(), src) / 9.0
-    m[..., rows, cols] = upper
-    m[..., cols, rows] = upper.conj()
-    return DensityMatrix(m, 2)
+    d = rho.d
+    m = partial_transpose(rho)
+    np.einsum("...ii->...i", m)[...] += d  # a writable view of each diagonal
+    m /= d**3 + 1
+    return DensityMatrix(m, d)
+
+
+spa_pt_2qubit = spa_pt  # the benchmark traces the map as criteria.spa_pt_2qubit
 
 
 # the |00> and |11> amplitude of phi_2+, as phi_plus(2) holds it
@@ -141,7 +139,7 @@ def x_opt(filt: FilterOperator, *, unit_trace: bool = False) -> np.ndarray:
     a/2, 1/2 at the four |00>/|11> corners; a vector of filter parameters
     gives a (k, 4, 4) stack. With ``unit_trace`` the operator is scaled by
     2/(1 + a^2) so its trace is one, the normalization under which the SPA
-    trace identity and the equivalence of the two LOCC-value routes are exact.
+    trace identity 9 Tr(X rho~) - 2 = Tr(X rho^Gamma) and the two routes agree.
     """
     a = np.asarray(filt.a, dtype=np.float64)
     v0 = a * _PHI2_AMP
@@ -155,16 +153,15 @@ def x_opt(filt: FilterOperator, *, unit_trace: bool = False) -> np.ndarray:
 
 
 def spa_trace_identity(x: np.ndarray, rho: DensityMatrix) -> float:
-    """9 Tr(X rho~) - 2 with rho~ the SPA-PT of rho.
+    """(d^3 + 1) Tr(X rho~) - d, rho~ the SPA-PT of rho; 9 Tr(X rho~) - 2 at d = 2.
 
-    Equals Tr(X rho^Gamma) exactly when Tr(X) = 1 (build X with
+    Equals Tr(X rho^Gamma) exactly when Tr(X) = 1 (at d = 2 build X with
     ``x_opt(..., unit_trace=True)``); for general X the two sides differ
-    by 2 Tr(X) - 2 because 9 rho~ = rho^Gamma + 2 I.
+    by d Tr(X) - d because (d^3 + 1) rho~ = rho^Gamma + d I.
     """
     if hermiticity_defect(x) > 1e-10:
         raise ValueError("X must be Hermitian")
-    spa = spa_pt_2qubit(rho)
-    return 9.0 * trace_product(x, spa.mat).real - 2.0
+    return (rho.d**3 + 1) * trace_product(x, spa_pt(rho).mat).real - rho.d
 
 
 def f_opt_locc_pt(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool = False) -> float:
@@ -187,16 +184,15 @@ def f_opt_locc_spa(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool
     if rho.d != 2:
         raise DimensionUnsupported("filtered LOCC value is defined for d=2")
     x = x_opt(filt, unit_trace=unit_trace)
-    spa = spa_pt_2qubit(rho)
-    return _py(2.5 - 9.0 * trace_product(x, spa.mat).real)
+    return _py(2.5 - 9.0 * trace_product(x, spa_pt(rho).mat).real)
 
 
 def sigma_spa_threshold(re_f: float, e: float) -> float:
     """Smallest filter parameter for which the SPA route value drops to <= 1/2
     on the sigma family: (-Re f + sqrt(Re(f)^2 - 2e + 4)) / 2."""
     disc = re_f * re_f - 2.0 * e + 4.0
-    if disc < 0.0:
-        raise ValueError("threshold undefined: negative discriminant")
+    if not 0.0 <= disc < math.inf:  # NaN and inf fail as well
+        raise ValueError(f"threshold undefined: discriminant {disc!r} is negative or not finite")
     return (-re_f + math.sqrt(disc)) / 2.0
 
 
@@ -302,13 +298,15 @@ class DemboDecomposition:
         cls, mat: np.ndarray, *, eta_low: float | None = None, eta_high: float | None = None
     ) -> "DemboDecomposition":
         """Split off the last row/column; None eta bounds are computed
-        exactly by eigensolving R_sub."""
+        exactly by eigensolving R_sub, and given ones must be finite."""
         m = np.asarray(mat, dtype=np.complex128)
         n = m.shape[-1]
         if n < 2:
             raise ValueError("Dembo split needs dim >= 2")
         r_sub = np.ascontiguousarray(m[..., : n - 1, : n - 1])
         b = np.ascontiguousarray(m[..., : n - 1, n - 1])
+        if not all(eta is None or np.isfinite(eta).all() for eta in (eta_low, eta_high)):
+            raise ValueError(f"eta bounds must be finite, got eta_low={eta_low!r}, eta_high={eta_high!r}")
         if eta_low is None or eta_high is None:
             eig = linalg._eigvalsh(r_sub)
             eta_low = eig[..., 0] if eta_low is None else eta_low

@@ -27,6 +27,7 @@ from teleres import (
     sigma_family,
     sigma_spa_threshold,
     singlet_fraction_basis,
+    spa_pt,
     spa_pt_2qubit,
     spa_trace_identity,
     verdict,
@@ -119,7 +120,7 @@ def test_noisy_singlet_npt_flip_by_bisection(d):
 
 def test_spa_sigma_family_pattern():
     b, d, e, f = 0.3, 0.3, 0.4, 0.1 + 0.2j
-    st = spa_pt_2qubit(sigma_family(b, d, e, f)).mat
+    st = spa_pt(sigma_family(b, d, e, f)).mat
     expect = np.diag([2 / 9, (2 + b) / 9, (2 + d) / 9, (2 + e) / 9]).astype(complex)
     expect[0, 3] = f / 9
     expect[3, 0] = np.conj(f) / 9
@@ -127,29 +128,109 @@ def test_spa_sigma_family_pattern():
 
 
 def test_spa_sigma1_example():
-    st = spa_pt_2qubit(sigma1()).mat
+    st = spa_pt(sigma1()).mat
     assert st[0, 3] == pytest.approx((0.25 + 0.1j) / 9)
     np.testing.assert_allclose(np.diagonal(st).real * 9, [2.0, 2.2, 2.4, 2.4], atol=1e-15)
 
 
 def test_spa_fixes_maximally_mixed():
     rho = DensityMatrix(np.eye(4, dtype=complex) / 4, 2)
-    np.testing.assert_allclose(spa_pt_2qubit(rho).mat, rho.mat, atol=1e-15)
+    np.testing.assert_allclose(spa_pt(rho).mat, rho.mat, atol=1e-15)
 
 
 def test_spa_outputs_are_states_and_map_is_affine_pt():
-    # the entry map realizes 9 rho~ = rho^Gamma + 2I
+    # at d = 2 the map is 9 rho~ = rho^Gamma + 2I
     for i in range(200):
         rho = random_state(2, i, seed=23)
-        st = spa_pt_2qubit(rho)  # constructor validates
+        st = spa_pt(rho)  # constructor validates
         np.testing.assert_allclose(
             9 * st.mat, partial_transpose(rho) + 2 * np.eye(4), atol=1e-13
         )
 
 
-def test_spa_rejects_qutrits():
-    with pytest.raises(DimensionUnsupported):
-        spa_pt_2qubit(noisy_singlet(0.5, 3))
+def _spa_entry_map(rho: DensityMatrix) -> np.ndarray:
+    """The two-qubit SPA-PT written out entry by entry, kept as a reference:
+    diagonal (2 + e_ii)/9; off-diagonal (E12, E13, E14, E23, E24, E34) =
+    (e12*, e13, e23, e14, e24, e34*)/9."""
+    e = rho.mat
+    m = np.zeros(e.shape, dtype=np.complex128)
+    diag = np.arange(4)
+    m[..., diag, diag] = (2.0 + e[..., diag, diag]) / 9.0
+    rows, cols = (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)  # E12 ... E34, 0-based
+    src = e[..., (0, 0, 1, 0, 1, 2), (1, 2, 2, 3, 3, 3)]  # e12, e13, e23, e14, e24, e34
+    upper = np.where([True, False, False, False, False, True], src.conj(), src) / 9.0
+    m[..., rows, cols] = upper
+    m[..., cols, rows] = upper.conj()
+    return m
+
+
+def test_spa_equals_entry_map_at_d2():
+    # equal values; the bytes may differ in the sign of a zero imaginary
+    # part, where the entry map conjugates an exact zero
+    states = [random_density_matrix(2, _rng(24, i), rank=1 + i % 4) for i in range(400)]
+    for rho in (*states, sigma1(), rho1()):
+        assert np.array_equal(spa_pt(rho).mat, _spa_entry_map(rho))
+    stack = DensityMatrix(np.stack([rho.mat for rho in states]), 2)
+    assert np.array_equal(spa_pt(stack).mat, _spa_entry_map(stack))
+
+
+def test_spa_pt_2qubit_is_spa_pt():
+    assert spa_pt_2qubit is spa_pt is criteria.spa_pt_2qubit
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_spa_is_a_state_and_affine_pt_at_every_d(d):
+    n = d * d
+    for i in range(2 * n):  # every rank 1 .. n, twice
+        rho = random_density_matrix(d, _rng(25 + d, i), rank=1 + i % n)
+        st = spa_pt(rho)
+        assert st.d == d and st.spectrum[0] >= 0.0
+        assert np.array_equal(st.mat, (partial_transpose(rho) + d * np.eye(n)) / (d**3 + 1))
+    for rho in (noisy_singlet(0.5, d), *((rho2(0.36), rho3(0.6)) if d == 3 else ())):
+        assert spa_pt(rho).spectrum[0] >= 0.0
+
+
+def _spa_choi(d: int) -> np.ndarray:
+    """Choi matrix sum_ij E_ij x SPA(E_ij) of the map, from its values on the
+    states E_ii, P+ and Py (projectors on (|i> + |j>)/sqrt2 and
+    (|i> + i|j>)/sqrt2), since E_ij = P+ + i Py - (1 + i)(E_ii + E_jj)/2 and
+    E_ji = P+ - i Py - (1 - i)(E_ii + E_jj)/2."""
+    n = d * d
+    eye = np.eye(n, dtype=complex)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    vecs = [*eye, *((eye[i] + eye[j]) / S2 for i, j in pairs), *((eye[i] + 1j * eye[j]) / S2 for i, j in pairs)]
+    out = spa_pt(DensityMatrix(np.stack([np.outer(v, v.conj()) for v in vecs]), d)).mat
+    diag, plus, y = out[:n], out[n : n + len(pairs)], out[n + len(pairs) :]
+    image = np.empty((n, n, n, n), complex)
+    image[range(n), range(n)] = diag
+    for k, (i, j) in enumerate(pairs):
+        image[i, j] = plus[k] + 1j * y[k] - (1 + 1j) / 2 * (diag[i] + diag[j])
+        image[j, i] = plus[k] - 1j * y[k] - (1 - 1j) / 2 * (diag[i] + diag[j])
+    return image.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_spa_is_completely_positive_on_the_boundary(d):
+    # smallest Choi eigenvalue 0: completely positive, and d is the least
+    # weight of the identity that makes it so
+    choi = _spa_choi(d)
+    assert np.abs(choi - choi.conj().T).max() < 1e-15
+    assert abs(np.linalg.eigvalsh(choi)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_identity_holds_for_unit_trace_x_at_every_d(d):
+    n = d * d
+    for i in range(20):
+        gen = _rng(36 + d, i)
+        rho = random_density_matrix(d, gen, rank=1 + i % n)
+        a = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
+        x = a + a.conj().T
+        x[range(n), range(n)] -= (np.trace(x).real - 1.0) / n  # Tr X = 1
+        rhs = trace_product(x, partial_transpose(rho)).real
+        assert abs(spa_trace_identity(x, rho) - rhs) < 1e-12
+        # for general X the sides differ by d Tr X - d
+        assert abs(spa_trace_identity(3 * x, rho) - 3 * rhs - 2 * d) < 1e-12
 
 
 # ---- filter and X operator ----
@@ -271,9 +352,16 @@ def test_spa_route_threshold_at_two_ninths():
     sig = sigma1()
     for a in np.linspace(0, 1, 21):
         flt = FilterOperator(float(a))
-        t = trace_product(x_opt(flt), spa_pt_2qubit(sig).mat).real
+        t = trace_product(x_opt(flt), spa_pt(sig).mat).real
         val = f_opt_locc_spa(sig, flt)
         assert (val <= 0.5) == (t >= 2 / 9 - 1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sigma_threshold_rejects_non_finite(bad):
+    for args in ((bad, 0.4), (0.25, bad), (bad, bad)):
+        with pytest.raises(ValueError, match="not finite"):
+            sigma_spa_threshold(*args)
 
 
 def test_sigma_threshold_formula():
@@ -546,6 +634,17 @@ def test_dembo_provided_eta_low_zero_is_admissible():
 def test_dembo_rejects_unknown_variant():
     with pytest.raises(ValueError):
         dembo_bounds(rho1(), "half")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dembo_rejects_non_finite_eta(bad):
+    stack = DensityMatrix(np.stack([rho3(0.5).mat, rho3(0.65).mat]), 3)
+    for rho in (rho3(0.65), stack):
+        for eta in ("eta_low", "eta_high"):
+            with pytest.raises(ValueError, match="finite"):
+                dembo_bounds(rho, "paper", **{eta: bad})
+    with pytest.raises(ValueError, match="finite"):
+        DemboDecomposition.from_matrix(stack.mat, eta_high=np.array([0.325, bad]))
 
 
 # ---- verdicts ----

@@ -33,7 +33,7 @@ from teleres import (
     rho_alpha,
     sigma_family,
     singlet_fraction_basis,
-    spa_pt_2qubit,
+    spa_pt,
     verdict,
     x_opt,
 )
@@ -212,19 +212,19 @@ def test_stacked_criteria_equal_single_state_values(d):
     npt = is_npt(stack)
     lam = max_eigenvalue(stack)
     lower, upper = dembo_bounds(stack, "quarter")
+    spa = spa_pt(stack)
     for i, one in enumerate(singles):
         assert np.array_equal(pt[i], partial_transpose(one))
         assert npt[i] == is_npt(one)
         assert lam[i] == max_eigenvalue(one)
         assert (lower[i], upper[i]) == dembo_bounds(one, "quarter")
+        assert np.array_equal(spa.mat[i], spa_pt(one).mat)
     if d == 2:
         fef = fef_2qubit(stack)
         a_star, f_star = optimize_filter(stack)
-        spa = spa_pt_2qubit(stack)
         for i, one in enumerate(singles):
             assert fef[i] == fef_2qubit(one)
             assert (a_star[i], f_star[i]) == optimize_filter(one)
-            assert np.array_equal(spa.mat[i], spa_pt_2qubit(one).mat)
     if d == 3:
         frac = singlet_fraction_basis(stack, qutrit_me_basis())
         for i, one in enumerate(singles):
