@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .linalg import DimensionMismatch, hermitian_eigen, hermiticity_defect, trace_product
+from .linalg import DimensionMismatch, hermiticity_defect, trace_product
 from .states import DensityMatrix, MaximallyEntangledVector, phi_plus, qutrit_me_basis
 
 __all__ = [
@@ -254,12 +254,12 @@ def fef_2qubit(rho: DensityMatrix) -> float:
     In the magic basis the maximally entangled states are exactly the real
     unit vectors (up to phase), so the maximum overlap is the top
     eigenvalue of the real part of rho in that basis. That real part is
-    symmetric only up to rounding, so it takes the checked eigensolver.
+    symmetric only up to rounding, so it is symmetrised, not checked again.
     """
     if rho.d != 2:
         raise DimensionUnsupported("exact fully entangled fraction is defined for d=2")
-    m = _MAGIC.conj().T @ rho.mat @ _MAGIC
-    return _py(hermitian_eigen(m.real.astype(np.complex128))[..., -1])
+    r = (_MAGIC.conj().T @ rho.mat @ _MAGIC).real
+    return _py(linalg._eigvalsh((0.5 * (r + r.swapaxes(-1, -2))).astype(np.complex128))[..., -1])
 
 
 def max_eigenvalue(rho: DensityMatrix) -> float:
@@ -281,10 +281,10 @@ class DemboDecomposition:
     """Bordered block split [[R_sub, b], [b^dag, c]] of a Hermitian matrix.
 
     ``eta_low`` and ``eta_high`` bound the spectrum of R_sub from below
-    and above. A (k, n, n) stack splits member by member, and ``c`` and
-    the eta bounds are then arrays. The matrix is not checked for
-    Hermiticity: pass a validated state's ``mat``, whose principal block
-    R_sub is then as Hermitian as the state.
+    and above; ``r_sub`` is a read-only view of the matrix. A stack splits
+    member by member, and ``c`` and the eta bounds are then arrays. The
+    matrix is not checked for Hermiticity: pass a validated state's
+    ``mat``, whose principal block R_sub is then as Hermitian as the state.
     """
 
     r_sub: np.ndarray
@@ -303,7 +303,9 @@ class DemboDecomposition:
         n = m.shape[-1]
         if n < 2:
             raise ValueError("Dembo split needs dim >= 2")
-        r_sub = np.ascontiguousarray(m[..., : n - 1, : n - 1])
+        # eigvalsh solves a strided R_sub with a copy's bits; a strided b would move the bounds an ulp
+        r_sub = m[..., : n - 1, : n - 1]
+        r_sub.setflags(write=False)
         b = np.ascontiguousarray(m[..., : n - 1, n - 1])
         if not all(eta is None or np.isfinite(eta).all() for eta in (eta_low, eta_high)):
             raise ValueError(f"eta bounds must be finite, got eta_low={eta_low!r}, eta_high={eta_high!r}")

@@ -5,10 +5,10 @@ The eigensolver is LAPACK's Hermitian driver through
 input and in ascending order. One private helper, ``_eigvalsh``, is the
 only caller of that driver. It reads one triangle and checks nothing, so
 it is called directly only on matrices known to be Hermitian: a validated
-state's symmetrised stack, its partial transpose and its principal
-blocks. :func:`hermitian_eigen` is the checked entry point for any other
-matrix. Every routine takes one (n, n) matrix or a (k, n, n) stack of
-them and works on each member alike.
+state's symmetrised stack, its partial transpose, its principal blocks and
+its symmetrised magic-basis real part. :func:`hermitian_eigen` is the
+checked entry point for any other matrix. Every routine takes one (n, n)
+matrix or a (k, n, n) stack of them and works on each member alike.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ TRACE_TOL = 1e-12
 ENTRY_BOUND = 2.0
 PSD_TOL = 1e-10
 THEOREM_BOUND_TOL = 1e-10
+_BLOCK_ENTRIES = 2**12  # validation's block: 64 KiB, so its temporaries stay below glibc's mmap threshold
 
 # the printed parameter interval of rho2 overshoots exact positivity by
 # ~1.2e-4 at its top end; this floor admits the full printed interval
@@ -98,19 +99,25 @@ class DensityMatrix:
             d = math.isqrt(n)
         if d < 2 or d * d != n:
             raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
-        # one state is checked as a stack of one: every quantity is per member
+        # one state is a stack of one; every quantity is per member, taken one block at a time
         stack = m.reshape(-1, n, n)
-        big = np.abs(stack.view(np.float64)).max(axis=(1, 2))
-        bounded = big <= ENTRY_BOUND  # False for NaN and inf as well
-        # members with an unbounded part are checked and solved as zero matrices
-        safe = stack if bounded.all() else np.where(bounded[:, None, None], stack, 0.0)
-        adjoint = safe.conj().swapaxes(1, 2)
-        defect = np.abs(safe - adjoint).max(axis=(1, 2))
+        big, defect = np.empty(len(stack)), np.empty(len(stack))
+        unbounded = False
+        step = max(1, _BLOCK_ENTRIES // (n * n))
+        for s in range(0, len(stack), step):
+            block = stack[s : s + step]
+            block_big = np.maximum.reduce(np.abs(block.view(np.float64)), axis=(1, 2), out=big[s : s + step])
+            if not block_big.max() <= ENTRY_BOUND:  # NaN, inf: check and solve such members as zero
+                unbounded = True
+                block = np.where((block_big <= ENTRY_BOUND)[:, None, None], block, 0.0)
+            np.maximum.reduce(np.abs(block - block.conj().swapaxes(1, 2)), axis=(1, 2), out=defect[s : s + step])
+        bounded = big <= ENTRY_BOUND
+        safe = np.where(bounded[:, None, None], stack, 0.0) if unbounded else stack
         tr = safe.trace(axis1=1, axis2=2)
         if spectrum is None:
             # eigvalsh reads one triangle only; symmetrise so both halves count.
             # With no defect in any member, 0.5 * (a + a^H) is a itself, bit for bit
-            hermitian = safe if not defect.any() else 0.5 * (safe + adjoint)
+            hermitian = safe if not defect.any() else 0.5 * (safe + safe.conj().swapaxes(1, 2))
             spectrum = linalg._eigvalsh(hermitian.reshape(m.shape))
         lam = spectrum.reshape(-1, n)
         failed = np.array((
@@ -273,7 +280,7 @@ def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
     {|10>,|21>,|02>} respectively.
     """
     alpha = _family_params("alpha", alpha, "rho_alpha")
-    m = np.zeros(alpha.shape + (9, 9), dtype=np.complex128) + (2.0 / 7.0) * phi_plus(3).projector()
+    m = np.tile((2.0 / 7.0) * phi_plus(3).projector(), alpha.shape + (1, 1))
     plus, minus = [1, 5, 6], [3, 7, 2]  # |01>, |12>, |20> and |10>, |21>, |02>
     m[..., plus, plus] += (alpha / 21.0)[..., None]
     m[..., minus, minus] += ((5.0 - alpha) / 21.0)[..., None]
@@ -282,8 +289,9 @@ def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
 
 def noisy_singlet(p: float | np.ndarray, d: int) -> DensityMatrix:
     """Isotropic mixture p P(phi_d+) + (1 - p) I / d^2."""
-    p = _family_params("p", p, "noisy_singlet")[..., None, None]
-    m = p * phi_plus(d).projector() + (1.0 - p) * np.eye(d * d, dtype=np.complex128) / (d * d)
+    p = _family_params("p", p, "noisy_singlet")
+    m = p[..., None, None] * phi_plus(d).projector()  # complex division below: it rounds as (1 - p) I / d^2
+    np.einsum("...ii->...i", m)[...] += ((1.0 - p).astype(np.complex128) / (d * d))[..., None]
     return DensityMatrix(m, d)
 
 

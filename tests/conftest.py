@@ -21,3 +21,14 @@ def partial_trace(mat: np.ndarray, d: int, keep: str) -> np.ndarray:
 
 def random_state(d: int, index: int, seed: int = 515):
     return random_density_matrix(d, _rng(seed, index))
+
+
+def near_hermitian_2qubit() -> np.ndarray:
+    """I/4 with 4.95e-11 moved from rho[i, j] to rho[j, i] for three pairs:
+    a Hermiticity defect of 9.9e-11, inside the tolerance, whose magic-basis
+    real part has a defect of 1.485e-10, outside it."""
+    mat = np.eye(4, dtype=complex) / 4
+    for i, j in ((0, 1), (0, 2), (1, 3)):
+        mat[i, j] -= 4.95e-11
+        mat[j, i] += 4.95e-11
+    return mat

@@ -20,7 +20,7 @@ from teleres.cli import (
     cmd_audit,
     main,
 )
-from conftest import random_state
+from conftest import near_hermitian_2qubit, random_state
 
 
 def _write(tmp_path, name, rho):
@@ -44,6 +44,17 @@ def test_analyze_rho1(tmp_path, capsys):
     assert code == EXIT_OK
     assert "UsefulByLambdaMax" in out
     assert "0.5858" in out
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+def test_analyze_near_hermitian_two_qubit_state(tmp_path, capsys, extra):
+    # the state passes validation; its magic-basis real part, symmetric only
+    # up to rounding, must not be checked again and end in a traceback
+    mat = near_hermitian_2qubit()
+    path = tmp_path / "near_hermitian.json"
+    path.write_text(json.dumps({"d": 2, "entries": [[z.real, z.imag] for z in mat.ravel()]}))
+    assert main(["analyze", str(path), *extra]) == EXIT_OK
+    assert "SeparableByTheorem2" in capsys.readouterr().out
 
 
 def test_analyze_maximally_mixed_d3(tmp_path, capsys):

@@ -38,7 +38,7 @@ from teleres.criteria import DemboDecomposition, DimensionUnsupported
 from teleres.linalg import DimensionMismatch, hermitian_eigen, trace_product
 from teleres.oracle import _rng, haar_unitary, random_density_matrix
 from teleres.states import FAMILIES
-from conftest import random_state
+from conftest import near_hermitian_2qubit, random_state
 
 S2 = math.sqrt(2.0)
 
@@ -533,6 +533,32 @@ def test_fef_examples():
     assert fef_2qubit(sigma1()) == pytest.approx(0.3 + abs(0.25 + 0.1j), abs=1e-12)
 
 
+def _fef_checked(rho):
+    """The exact FEF through the checked eigensolver, as it was computed
+    before validation became its only Hermiticity gate."""
+    m = criteria._MAGIC.conj().T @ rho.mat @ criteria._MAGIC
+    return hermitian_eigen(m.real.astype(np.complex128))[..., -1]
+
+
+def test_fef_of_a_near_hermitian_state_is_symmetrised_not_rejected():
+    rho = DensityMatrix(near_hermitian_2qubit(), 2)
+    with pytest.raises(linalg.NotHermitian, match="1.485e-10"):
+        _fef_checked(rho)
+    assert fef_2qubit(rho) == pytest.approx(0.25, abs=1e-12)
+    assert verdict(rho).singlet_fraction_lower == fef_2qubit(rho)
+
+
+def test_fef_equals_the_checked_route():
+    catalog = [rho1(), sigma1(), bell_phi(), bell_singlet(), *(noisy_singlet(p, 2) for p in (0.0, 0.3, 1.0))]
+    singles = catalog + [random_state(2, i, seed=41) for i in range(200)]
+    for rho in singles:
+        assert fef_2qubit(rho) == _fef_checked(rho)
+    stack = DensityMatrix(np.stack([rho.mat for rho in singles]), 2)
+    assert np.array_equal(fef_2qubit(stack), _fef_checked(stack))
+    family = noisy_singlet(np.linspace(0.0, 1.0, 50), 2)
+    assert np.array_equal(fef_2qubit(family), _fef_checked(family))
+
+
 def test_fef_rejects_qutrits():
     with pytest.raises(DimensionUnsupported):
         fef_2qubit(noisy_singlet(0.5, 3))
@@ -732,15 +758,15 @@ def test_verdict_eigensolves_each_matrix_once(monkeypatch):
         return hermitian_eigen(mat)
 
     monkeypatch.setattr(linalg, "_eigvalsh", counting)
-    monkeypatch.setattr(criteria, "hermitian_eigen", counting_checked)
+    monkeypatch.setattr(linalg, "hermitian_eigen", counting_checked)
     for rho, expected in ((rho1(), [3, 4, 4]), (rho3(0.65), [8, 9]), (noisy_singlet(0.9, 4), [15, 16])):
         sizes.clear()
-        checked.clear()
         verdict(rho)
         assert sorted(sizes) == expected
-        # validation is the one Hermiticity gate; only the FEF's magic-basis
-        # real part, symmetric up to rounding, takes the checked route
-        assert checked == ([4] if rho.d == 2 else [])
+    # validation is the one Hermiticity gate: even the FEF's magic-basis real
+    # part, symmetric only up to rounding, is symmetrised rather than checked
+    assert checked == []
+    assert not hasattr(criteria, "hermitian_eigen")
 
 
 def test_verdict_rejects_unknown_dembo_variant():

@@ -7,8 +7,10 @@ classifies a whole family as one stack.
 
 import importlib
 import math
+import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from teleres import (
     noisy_singlet,
     optimize_filter,
     partial_transpose,
+    phi_plus,
     qutrit_me_basis,
     rho2,
     rho3,
@@ -38,6 +41,7 @@ from teleres import (
     x_opt,
 )
 from teleres import cli, linalg, states
+from teleres.criteria import DemboDecomposition
 from teleres.linalg import NotHermitian, hermitian_eigen, hermiticity_defect, trace_product
 from teleres.oracle import _rng, random_density_matrix
 
@@ -95,6 +99,112 @@ def test_rho2_stack_keeps_its_relaxed_psd_floor():
     assert stack.spectrum[1, 0] < -1e-4
     with pytest.raises(NotAState, match="positive semidefinite"):
         DensityMatrix(np.array(stack.mat), 3)
+
+
+def _blocked_stack(d):
+    """Seeded, exactly Hermitian random states filling two validation blocks
+    and part of a third."""
+    step = states._BLOCK_ENTRIES // d**4
+    mats = np.stack([np.array(random_density_matrix(d, _rng(717, 31 * d + i)).mat) for i in range(2 * step + step // 2)])
+    return 0.5 * (mats + mats.conj().swapaxes(1, 2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_blocked_validation_gives_each_member_its_own_spectrum(d):
+    mats = _blocked_stack(d)
+    stack = DensityMatrix(mats, d)
+    for i, mat in enumerate(mats):
+        assert np.array_equal(stack.spectrum[i], DensityMatrix(mat, d).spectrum)
+
+
+def _break(mat, bad):
+    if bad == "nan":
+        mat[2, 1] = np.nan
+    elif bad == "big":
+        mat[0, 0] = 2.5
+    elif bad == "defect":
+        mat[0, 1] += 2e-10
+    elif bad == "trace":
+        mat[1, 1] += 1e-9
+    else:
+        mat[...] = np.diag([1.2, -0.2] + [0.0] * (len(mat) - 2))
+
+
+# the messages each bad member raised before validation went block by block
+_BAD_MESSAGES = {
+    "nan": r"matrix has a non-finite entry \(NaN or inf\)",
+    "big": r"an entry has a part of 2\.500e\+00; a state's entries are at most 1",
+    "defect": r"not Hermitian: defect 2\.000e-10",
+    "trace": r"trace is 1\.00000000100000\d, not 1",
+    "negative": r"not positive semidefinite: min eigenvalue -2\.000e-01",
+}
+
+
+@pytest.mark.parametrize("bad", list(_BAD_MESSAGES))
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_bad_member_in_the_last_block_raises_its_own_message(d, bad):
+    mats = _blocked_stack(d)
+    _break(mats[-2], bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotAState) as alone:
+            DensityMatrix(mats[-2], d)
+        with pytest.raises(NotAState) as stacked:
+            DensityMatrix(mats, d)
+    assert re.fullmatch(_BAD_MESSAGES[bad], str(alone.value))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_validation_and_the_dembo_split_make_no_stack_sized_temporary():
+    mats = np.array(noisy_singlet(np.linspace(0.0, 1.0, 200), 3).mat)
+    writable = np.array(mats)
+    DensityMatrix(mats, 3)
+    tracemalloc.start()
+    try:
+        DensityMatrix(mats, 3)
+        validate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dec = DemboDecomposition.from_matrix(writable)
+        dembo_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert validate_peak < mats.nbytes
+    # R_sub is a read-only view of the matrix, even of a writable one, not a copy
+    assert dembo_peak < dec.r_sub.size * dec.r_sub.itemsize
+    assert np.shares_memory(dec.r_sub, writable) and not dec.r_sub.flags.writeable and writable.flags.writeable
+    assert dec.b.flags.c_contiguous
+    eig = linalg._eigvalsh(np.ascontiguousarray(dec.r_sub))
+    assert np.array_equal(dec.eta_low, eig[:, 0]) and np.array_equal(dec.eta_high, eig[:, -1])
+
+
+def test_noisy_singlet_builds_its_stack_in_place():
+    p = np.linspace(0.0, 1.0, 200)
+    noisy_singlet(p, 3)
+    tracemalloc.start()
+    try:
+        stack = noisy_singlet(p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * stack.mat.nbytes
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("p", [0.37, np.linspace(0.0, 1.0, 41)], ids=["scalar", "array"])
+def test_noisy_singlet_bytes_equal_the_broadcast_expression(d, p):
+    pp = np.asarray(p)[..., None, None]
+    want = pp * phi_plus(d).projector() + (1.0 - pp) * np.eye(d * d, dtype=np.complex128) / (d * d)
+    assert noisy_singlet(p, d).mat.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [4.3, np.linspace(4.01, 5.0, 41)], ids=["scalar", "array"])
+def test_rho_alpha_bytes_equal_the_broadcast_expression(alpha):
+    a = np.asarray(alpha)
+    want = np.zeros(a.shape + (9, 9), dtype=np.complex128) + (2.0 / 7.0) * phi_plus(3).projector()
+    plus, minus = [1, 5, 6], [3, 7, 2]
+    want[..., plus, plus] += (a / 21.0)[..., None]
+    want[..., minus, minus] += ((5.0 - a) / 21.0)[..., None]
+    assert rho_alpha(alpha).mat.tobytes() == want.tobytes()
 
 
 def _scalar_message(mat, d):
