@@ -162,7 +162,9 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     report = verdict(rho, dembo_variant)
     if as_json:
         doc = {**vars(report), "verdict": report.verdict.value}
-        print(json.dumps(doc, indent=2))
+        # json.dumps(doc, indent=2) byte for byte by json's C encoder, which indent= turns off;
+        # that holds only for a flat doc, so a list or dict value must revisit this layout
+        print("{\n  " + json.dumps(doc, separators=(",\n  ", ": "))[1:-1] + "\n}")
         return EXIT_OK
 
     def g4(x: float) -> str:

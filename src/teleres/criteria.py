@@ -61,8 +61,8 @@ def _py(x):
 
 
 def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.vdot over the last axis, member by member, by the same BLAS dot."""
-    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0]
+    """np.vdot over the last axis, member by member, by the same BLAS dot; a numpy scalar for one pair."""
+    return (x.conj()[..., None, :] @ y[..., :, None])[..., 0, 0][()]
 
 
 def _check_variant(variant: str) -> None:
@@ -102,7 +102,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: str = "second") -> np.ndarr
 
 def _pt_min(rho: DensityMatrix) -> np.ndarray:
     # rho^Gamma permutes the entries of rho, so it is as Hermitian as rho: no second check
-    return linalg._eigvalsh(partial_transpose(rho))[..., 0]
+    return linalg._eigvalsh(partial_transpose(rho))[..., 0][()]
 
 
 def is_npt(rho: DensityMatrix) -> bool:
@@ -152,14 +152,14 @@ def x_opt(filt: FilterOperator, *, unit_trace: bool = False) -> np.ndarray:
     return x
 
 
-def spa_trace_identity(x: np.ndarray, rho: DensityMatrix) -> float:
+def spa_trace_identity(x: np.ndarray, rho: DensityMatrix) -> float | np.ndarray:
     """(d^3 + 1) Tr(X rho~) - d, rho~ the SPA-PT of rho; 9 Tr(X rho~) - 2 at d = 2.
 
     Equals Tr(X rho^Gamma) exactly when Tr(X) = 1 (at d = 2 build X with
     ``x_opt(..., unit_trace=True)``); for general X the two sides differ
-    by d Tr(X) - d because (d^3 + 1) rho~ = rho^Gamma + d I.
+    by d Tr(X) - d because (d^3 + 1) rho~ = rho^Gamma + d I; a stack gives one value per member.
     """
-    if hermiticity_defect(x) > 1e-10:
+    if not np.max(hermiticity_defect(x), initial=0.0) <= 1e-10:  # NaN fails too
         raise ValueError("X must be Hermitian")
     return (rho.d**3 + 1) * trace_product(x, spa_pt(rho).mat).real - rho.d
 
@@ -246,6 +246,7 @@ def singlet_fraction_basis(rho: DensityMatrix, basis: list[MaximallyEntangledVec
 _MAGIC = np.array(
     [[1, 0, 0, 1], [1j, 0, 0, -1j], [0, 1j, 1j, 0], [0, 1, -1, 0]], dtype=np.complex128
 ).T / math.sqrt(2.0)
+_MAGIC_H = _MAGIC.conj().T  # a transposed view: a contiguous copy could take another BLAS path and round apart
 
 
 def fef_2qubit(rho: DensityMatrix) -> float:
@@ -258,7 +259,7 @@ def fef_2qubit(rho: DensityMatrix) -> float:
     """
     if rho.d != 2:
         raise DimensionUnsupported("exact fully entangled fraction is defined for d=2")
-    r = (_MAGIC.conj().T @ rho.mat @ _MAGIC).real
+    r = (_MAGIC_H @ rho.mat @ _MAGIC).real
     return _py(linalg._eigvalsh((0.5 * (r + r.swapaxes(-1, -2))).astype(np.complex128))[..., -1])
 
 
@@ -385,7 +386,7 @@ def _singlet_fraction_lower(rho: DensityMatrix) -> float | np.ndarray:
     if rho.d == 3:
         return singlet_fraction_basis(rho, qutrit_me_basis())
     v = phi_plus(rho.d).vec
-    return _py(_vdot(v, rho.mat @ v).real)
+    return _vdot(v, rho.mat @ v).real
 
 
 def _verdict_columns(rho: DensityMatrix, dembo_variant: str) -> dict[str, list]:
@@ -393,30 +394,27 @@ def _verdict_columns(rho: DensityMatrix, dembo_variant: str) -> dict[str, list]:
     and ordered as the fields of :class:`CriterionReport` after ``d``."""
     _check_variant(dembo_variant)
     d = rho.d
-    # Python scalars for one state, (k,) arrays for a stack
-    lam_max = max_eigenvalue(rho)
-    pt_min = _py(_pt_min(rho))
+    # each quantity is what its kernel returns: (k,) for a stack, and for one state a numpy
+    # scalar, not a 0-d array ([()] unwraps one), on which every operator is a full ufunc call
+    lam_max = rho.spectrum[..., -1][()]
+    pt_min = _pt_min(rho)
     npt = pt_min < -NPT_TOL
 
-    lower, up_paper, up_quarter = map(_py, _dembo_all(DemboDecomposition.from_matrix(rho.mat)))
-    up_selected = up_paper if dembo_variant == "paper" else up_quarter
-
+    lower, up_paper, up_quarter = _dembo_all(DemboDecomposition.from_matrix(rho.mat))
     frac = _singlet_fraction_lower(rho)
     threshold = 1.0 / d
-    rules = (
+    first_rule = np.array((
         npt & (lam_max > threshold),
-        npt & (up_selected > threshold),
+        npt & ((up_paper if dembo_variant == "paper" else up_quarter) > threshold),
         frac > threshold,
         (lam_max <= threshold) & (pt_min > NPT_TOL),
         npt | True,  # inconclusive: the rule that always fires
-    )
-    first_rule = np.array(rules).argmax(axis=0)
+    )).argmax(axis=0)
     fid = fidelity_from_fraction(np.minimum(lam_max, 1.0), d)
 
     # Python floats and bools, one list per field, so the CSV writer formats them
-    lam_c, frac_c, lower_c, upp_c, upq_c, fid_c = (
-        np.array((lam_max, frac, lower, up_paper, up_quarter, fid)).reshape(6, -1).tolist()
-    )
+    lam_c, frac_c, lower_c, upp_c, upq_c, fid_c = np.array(
+        (lam_max, frac, lower, up_paper, up_quarter, fid)).reshape(6, -1).tolist()
     return {
         "is_npt": np.ravel(npt).tolist(),
         "lambda_max": lam_c,

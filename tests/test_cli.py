@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from teleres import NotAState, cli, noisy_singlet, rho1, rho3, save_state, states, verdict
+from teleres.criteria import CriterionReport, Verdict
 from teleres.cli import (
     EXIT_AUDIT,
     EXIT_OK,
@@ -82,6 +84,32 @@ def test_analyze_json_full_precision(tmp_path, capsys):
     assert doc["verdict"] == "UsefulByLambdaMax"
     assert doc["lambda_max"] == pytest.approx(2 - math.sqrt(2), abs=1e-12)
     assert doc["is_npt"] is True
+
+
+_JSON_STATES = {2: rho1, 3: lambda: rho3(0.65), 4: lambda: noisy_singlet(0.9, 4)}
+
+
+@pytest.mark.parametrize("dembo", ["paper", "quarter"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_analyze_json_is_the_indent_2_document(tmp_path, capsys, d, dembo):
+    # f_opt_locc is a float at d = 2 and null at d = 3 and 4
+    for i, rho in enumerate((_JSON_STATES[d](), random_state(d, d, seed=78))):
+        assert main(["analyze", _write(tmp_path, f"s{i}.json", rho), "--json", "--dembo", dembo]) == EXIT_OK
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert list(doc) == [f.name for f in dataclasses.fields(CriterionReport)]
+        assert (doc["f_opt_locc"] is None) == (d != 2)
+
+
+@pytest.mark.parametrize("dembo", ["paper", "quarter"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_single_state_report_holds_python_scalars(d, dembo):
+    # json.dumps rejects numpy.bool_, and writes a numpy float only by luck of its base class
+    for rho in (_JSON_STATES[d](), random_state(d, d, seed=78)):
+        rep = verdict(rho, dembo)
+        for f in dataclasses.fields(rep):
+            assert type(getattr(rep, f.name)) in (bool, int, float, str, type(None), Verdict), f.name
 
 
 def test_analyze_parse_error_exit_2(tmp_path, capsys):

@@ -303,6 +303,26 @@ def test_identity_rejects_non_hermitian_x():
         spa_trace_identity(x, rho1())
 
 
+@pytest.mark.parametrize("unit_trace", [False, True])
+def test_identity_on_a_stack_of_x_equals_each_member(unit_trace):
+    a = np.array([0.0, 0.5, 0.78, 1.0])
+    for rho in (sigma1(), random_density_matrix(2, _rng(37, 0))):
+        got = spa_trace_identity(x_opt(FilterOperator(a), unit_trace=unit_trace), rho)
+        want = [spa_trace_identity(x_opt(FilterOperator(float(ai)), unit_trace=unit_trace), rho) for ai in a]
+        assert got.shape == a.shape
+        np.testing.assert_array_equal(got, want)
+
+
+def test_identity_rejects_a_stack_with_one_non_hermitian_x():
+    x = x_opt(FilterOperator(np.array([0.5, 1.0])))
+    x[1, 0, 3] += 1e-6
+    with pytest.raises(ValueError, match="X must be Hermitian"):
+        spa_trace_identity(x, rho1())
+    x[1, 0, 3] = np.nan
+    with pytest.raises(ValueError, match="X must be Hermitian"):
+        spa_trace_identity(x, rho1())
+
+
 # ---- LOCC filtered values ----
 
 def test_figure_curve_matches_quadratic():
