@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -23,7 +24,6 @@ from . import criteria, oracle, states
 from .criteria import (
     FilterOperator,
     dembo_bounds,
-    f_opt_locc_pt,
     f_opt_locc_spa,
     fef_2qubit,
     max_eigenvalue,
@@ -43,7 +43,6 @@ from .states import (
     rho2,
     rho3,
     rho_alpha,
-    sigma_family,
 )
 
 __all__ = ["main", "entry", "SweepSpec", "InvalidSpec", "cmd_analyze", "cmd_reproduce", "cmd_sweep", "cmd_audit"]
@@ -62,19 +61,6 @@ MAX_DIM = 8
 SWEEP_BLOCK_ENTRIES = 2**18
 
 REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
-
-_REPORT_QUANTITIES = (
-    "lambda_max",
-    "is_npt",
-    "dembo_lower",
-    "dembo_upper_paper",
-    "dembo_upper_quarter",
-    "singlet_fraction_lower",
-    "fidelity_upper",
-    "verdict",
-)
-_SIGMA_QUANTITIES = ("f_opt_spa", "f_opt_pt")
-
 
 class InvalidSpec(ValueError):
     """Sweep specification violates a constraint."""
@@ -95,9 +81,15 @@ class SweepSpec:
         fixed_d = states.FAMILIES[self.family].d
         if self.dim is not None and fixed_d is not None:
             raise InvalidSpec(f"--dim does not apply to {self.family}, whose local dimension is {fixed_d}")
+        try:
+            steps, dim = operator.index(self.steps), self.dim if self.dim is None else operator.index(self.dim)
+        except TypeError:
+            raise InvalidSpec(f"steps and dim must be integers, got {self.steps!r} and {self.dim!r}") from None
+        if dim is not None and not 2 <= dim <= MAX_DIM:
+            raise InvalidSpec(f"need 2 <= dim <= {MAX_DIM}, got {dim}")
         if not self.lo < self.hi:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not 2 <= self.steps <= MAX_STEPS:
+        if not 2 <= steps <= MAX_STEPS:
             raise InvalidSpec(f"need 2 <= steps <= {MAX_STEPS}, got {self.steps}")
         vlo, vhi, open_lo = states.FAMILIES[self.family].interval
         if not ((self.lo > vlo if open_lo else self.lo >= vlo) and self.hi <= vhi):
@@ -105,11 +97,9 @@ class SweepSpec:
             raise InvalidSpec(f"range [{self.lo}, {self.hi}] outside {interval} of {self.family}")
         if not self.quantities:
             raise InvalidSpec("quantity list is empty")
-        allowed = set(_REPORT_QUANTITIES)
-        if self.family == "sigma":
-            allowed |= set(_SIGMA_QUANTITIES)
         for q in self.quantities:
-            if q not in allowed:
+            sweeps = criteria.QUANTITIES[q][1] if q in criteria.QUANTITIES else ()
+            if not (sweeps is None or self.family in sweeps):
                 raise InvalidSpec(f"unknown quantity {q!r} for family {self.family!r}")
 
 
@@ -154,7 +144,7 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
 
 
 def _sigma1() -> states.DensityMatrix:
-    return sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j)
+    return states.FAMILIES["sigma"].build(None, 2)
 
 
 def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) -> int:
@@ -263,33 +253,23 @@ def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper") -> i
     """Write a family's curve as CSV, one block of the parameter vector at a time.
 
     A block holds at most ``SWEEP_BLOCK_ENTRIES`` matrix entries. Its states
-    are built as one stack, classified into columns and written before the
-    next block is built. Every member's values are those it has alone, so
-    the file does not depend on the block size. The spec is validated
-    before the output is opened, so a bad spec leaves an existing file as
-    it was.
+    are built as one stack, only the asked quantities are computed, and the
+    block is written before the next is built. Every member's values are
+    those it has alone, so the file does not depend on the block size. The
+    spec is validated before the output is opened, so a bad spec leaves an
+    existing file as it was.
     """
     spec.validate()
+    criteria._check_variant(dembo_variant)  # before the output is opened, as the spec is
     family = states.FAMILIES[spec.family]
-    d = family.d or spec.dim or 3
+    d = family.d or (3 if spec.dim is None else spec.dim)
     size = max(1, SWEEP_BLOCK_ENTRIES // d**4)
     params = np.linspace(spec.lo, spec.hi, spec.steps)
-    if family.build is None:
-        # sigma: one state; the filter parameter runs over the block
-        sig = _sigma1()
-        base = criteria._verdict_columns(sig, dembo_variant)
-
-        def fields(block: np.ndarray) -> dict:
-            flt = FilterOperator(block)
-            return {"f_opt_spa": f_opt_locc_spa(sig, flt), "f_opt_pt": f_opt_locc_pt(sig, flt),
-                    **{q: base[q] * len(block) for q in spec.quantities if q in base}}
-    else:
-        def fields(block: np.ndarray) -> dict:
-            return criteria._verdict_columns(family.build(block, d), dembo_variant)
 
     def columns(block: np.ndarray) -> list:
-        f = fields(block)
-        return [block, *([v.value for v in f[q]] if q == "verdict" else f[q] for q in spec.quantities)]
+        cols = criteria._columns(family.build(block, d), spec.quantities, dembo_variant, block)
+        cols = [c * (len(block) // len(c)) for c in cols]  # sigma's one state: its values repeat over the block
+        return [block, *([v.value for v in c] if q == "verdict" else c for q, c in zip(spec.quantities, cols))]
 
     blocks = (columns(params[i : i + size]) for i in range(0, spec.steps, size))
     _write_csv(out_path, ["param", *spec.quantities], blocks)

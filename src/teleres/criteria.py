@@ -8,13 +8,15 @@ Dembo eigenvalue bounds from a bordered block split.
 
 Every criterion also takes a stack of states (a (k, n, n) ``mat``) or a
 vector of filter parameters, and gives per member what that member gives.
+``QUANTITIES`` is the one table of what a verdict or a sweep reads: each
+computes only the names it asks for, and a step several share once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -79,7 +81,7 @@ class FilterOperator:
 
     def __post_init__(self):
         a = np.asarray(self.a)
-        if not (a.min() >= 0.0 and a.max() <= 1.0):
+        if not ((0.0 <= a) & (a <= 1.0)).all():  # NaN fails; an empty vector passes
             raise ValueError(f"filter parameter a = {self.a!r} outside [0, 1]")
 
 
@@ -270,7 +272,7 @@ def max_eigenvalue(rho: DensityMatrix) -> float:
 def fidelity_from_fraction(fraction: float, d: int) -> float:
     """Teleportation fidelity (d F + 1) / (d + 1) from a singlet fraction F."""
     f = np.asarray(fraction)
-    if not (f.min() >= -1e-12 and f.max() <= 1.0 + 1e-12):
+    if not ((-1e-12 <= f) & (f <= 1.0 + 1e-12)).all():  # NaN fails; an empty stack passes
         raise ValueError(f"singlet fraction {fraction!r} outside [0, 1]")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
@@ -389,43 +391,61 @@ def _singlet_fraction_lower(rho: DensityMatrix) -> float | np.ndarray:
     return _vdot(v, rho.mat @ v).real
 
 
-def _verdict_columns(rho: DensityMatrix, dembo_variant: str) -> dict[str, list]:
-    """The report fields of every member, one Python list per field, keyed
-    and ordered as the fields of :class:`CriterionReport` after ``d``."""
-    _check_variant(dembo_variant)
-    d = rho.d
-    # each quantity is what its kernel returns: (k,) for a stack, and for one state a numpy
-    # scalar, not a 0-d array ([()] unwraps one), on which every operator is a full ufunc call
-    lam_max = rho.spectrum[..., -1][()]
-    pt_min = _pt_min(rho)
-    npt = pt_min < -NPT_TOL
-
-    lower, up_paper, up_quarter = _dembo_all(DemboDecomposition.from_matrix(rho.mat))
-    frac = _singlet_fraction_lower(rho)
-    threshold = 1.0 / d
-    first_rule = np.array((
+def _first_rule(s: _Memo, rho: DensityMatrix) -> list[Verdict]:
+    """Each member's verdict: the first of :func:`verdict`'s rules that fires."""
+    npt, lam_max, threshold = s.get("is_npt"), s.get("lambda_max"), 1.0 / rho.d
+    first = np.array((
         npt & (lam_max > threshold),
-        npt & ((up_paper if dembo_variant == "paper" else up_quarter) > threshold),
-        frac > threshold,
-        (lam_max <= threshold) & (pt_min > NPT_TOL),
+        npt & (s.get("dembo_upper_" + s.dembo_variant) > threshold),
+        s.get("singlet_fraction_lower") > threshold,
+        (lam_max <= threshold) & (s.get("pt_min") > NPT_TOL),
         npt | True,  # inconclusive: the rule that always fires
     )).argmax(axis=0)
-    fid = fidelity_from_fraction(np.minimum(lam_max, 1.0), d)
+    return [_RULE_VERDICTS[r] for r in first.reshape(-1).tolist()]
 
-    # Python floats and bools, one list per field, so the CSV writer formats them
-    lam_c, frac_c, lower_c, upp_c, upq_c, fid_c = np.array(
-        (lam_max, frac, lower, up_paper, up_quarter, fid)).reshape(6, -1).tolist()
-    return {
-        "is_npt": np.ravel(npt).tolist(),
-        "lambda_max": lam_c,
-        "singlet_fraction_lower": frac_c,
-        "f_opt_locc": np.ravel(optimize_filter(rho)[1]).tolist() if d == 2 else [None] * len(lam_c),
-        "dembo_lower": lower_c,
-        "dembo_upper_paper": upp_c,
-        "dembo_upper_quarter": upq_c,
-        "fidelity_upper": fid_c,
-        "verdict": [_RULE_VERDICTS[r] for r in np.ravel(first_rule).tolist()],
-    }
+
+# name -> (its value, as its kernel returns it, from the stack's _Memo and the stack; the families
+# whose sweeps may ask for it: None for every family, () for none). Kernels are called through
+# their module globals, so a rebound module attribute is what runs.
+QUANTITIES = {
+    "pt_min": (lambda s, rho: _pt_min(rho), ()),
+    "dembo": (lambda s, rho: _dembo_all(DemboDecomposition.from_matrix(rho.mat)), ()),
+    "is_npt": (lambda s, rho: s.get("pt_min") < -NPT_TOL, None),
+    # [()] unwraps one state's 0-d array to a numpy scalar, on which every operator is a full ufunc call
+    "lambda_max": (lambda s, rho: rho.spectrum[..., -1][()], None),
+    "singlet_fraction_lower": (lambda s, rho: _singlet_fraction_lower(rho), None),
+    "f_opt_locc": (lambda s, rho: optimize_filter(rho)[1] if rho.d == 2 else [None] * np.size(s.get("lambda_max")), ()),
+    "dembo_lower": (lambda s, rho: s.get("dembo")[0], None),
+    "dembo_upper_paper": (lambda s, rho: s.get("dembo")[1], None),
+    "dembo_upper_quarter": (lambda s, rho: s.get("dembo")[2], None),
+    "fidelity_upper": (lambda s, rho: fidelity_from_fraction(np.minimum(s.get("lambda_max"), 1.0), rho.d), None),
+    "verdict": (_first_rule, None),
+    "f_opt_spa": (lambda s, rho: f_opt_locc_spa(rho, FilterOperator(s.params)), ("sigma",)),
+    "f_opt_pt": (lambda s, rho: f_opt_locc_pt(rho, FilterOperator(s.params)), ("sigma",)),
+}
+
+_REPORT_FIELDS = [f.name for f in fields(CriterionReport)][1:-1]  # between d and dembo_variant
+
+
+class _Memo:
+    """The quantities of one stack asked for so far, each computed on first use."""
+
+    __slots__ = ("rho", "dembo_variant", "params", "values")
+
+    def get(self, name: str):
+        if name not in self.values:
+            self.values[name] = QUANTITIES[name][0](self, self.rho)
+        return self.values[name]
+
+
+def _columns(rho: DensityMatrix, names, dembo_variant: str, params: np.ndarray | None = None) -> list[list]:
+    """The named quantities of every member, one Python list per name; ``params`` feed the filter's."""
+    _check_variant(dembo_variant)
+    memo = _Memo()  # no __init__: a Python one would be called from C, which costs more than these stores
+    memo.rho, memo.dembo_variant, memo.params, memo.values = rho, dembo_variant, params, {}
+    # a value is a list, an array or one state's scalar; float() and np.asarray's tolist() beat a numpy scalar's own
+    return [[float(v)] if isinstance(v, float) else v if type(v) is list else np.asarray(v).ravel().tolist()
+            for v in map(memo.get, names)]
 
 
 def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport | list[CriterionReport]:
@@ -439,6 +459,6 @@ def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport
     member, each equal to the report of that member alone. The reports
     are the rows of the columns a sweep writes, so both share one path.
     """
-    columns = _verdict_columns(rho, dembo_variant)
-    reports = [CriterionReport(rho.d, *row, dembo_variant) for row in zip(*columns.values())]
+    columns = _columns(rho, _REPORT_FIELDS, dembo_variant)
+    reports = [CriterionReport(rho.d, *row, dembo_variant) for row in zip(*columns)]
     return reports if rho.mat.ndim == 3 else reports[0]

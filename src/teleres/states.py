@@ -297,18 +297,17 @@ def noisy_singlet(p: float | np.ndarray, d: int) -> DensityMatrix:
 
 class Family(NamedTuple):
     """A swept family: ``build(params, d)`` is the validated stack of its
-    states at a parameter vector, ``d`` its local dimension (None: the
-    caller's), ``interval`` its parameter range as (lo, hi, open at lo)."""
+    states at a parameter vector (sigma's: its one state), ``d`` its local
+    dimension (None: the caller's), ``interval`` its parameter range as (lo, hi, open at lo)."""
 
-    build: Callable[[np.ndarray, int], DensityMatrix] | None
+    build: Callable[[np.ndarray, int], DensityMatrix]
     d: int | None
     interval: tuple[float, float, bool]
 
 
-# the one registry of swept families; sigma has no builder, because a sigma
-# sweep runs the diag(a, 1) filter over one state rather than a family of states
+# the one registry of swept families; sigma sweeps the diag(a, 1) filter over one state, the paper's sigma_1
 FAMILIES = {
-    "sigma": Family(None, 2, (0.0, 1.0, False)),
+    "sigma": Family(lambda _a, _d: sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j), 2, (0.0, 1.0, False)),
     "rho2": Family(lambda a, _d: rho2(a), 3, (0.35, 0.369, False)),
     "rho3": Family(lambda a, _d: rho3(a), 3, (0.5, 0.65, False)),
     "rho_alpha": Family(lambda alpha, _d: rho_alpha(alpha), 3, (4, 5, True)),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from teleres.criteria import QUANTITIES
 from teleres.oracle import _rng, random_density_matrix
 
 
@@ -32,3 +33,8 @@ def near_hermitian_2qubit() -> np.ndarray:
         mat[i, j] -= 4.95e-11
         mat[j, i] += 4.95e-11
     return mat
+
+
+def sweep_quantities(family: str) -> str:
+    """Every quantity a sweep of ``family`` accepts, comma-joined in table order."""
+    return ",".join(q for q, (_, sweeps) in QUANTITIES.items() if sweeps is None or family in sweeps)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from teleres import NotAState, cli, noisy_singlet, rho1, rho3, save_state, states, verdict
+from teleres import NotAState, cli, criteria, noisy_singlet, rho1, rho3, save_state, states, verdict
 from teleres.criteria import CriterionReport, Verdict
 from teleres.cli import (
     EXIT_AUDIT,
@@ -20,9 +21,10 @@ from teleres.cli import (
     SweepSpec,
     InvalidSpec,
     cmd_audit,
+    cmd_sweep,
     main,
 )
-from conftest import near_hermitian_2qubit, random_state
+from conftest import near_hermitian_2qubit, random_state, sweep_quantities
 
 
 def _write(tmp_path, name, rho):
@@ -330,6 +332,47 @@ def test_sweep_spec_validation_direct():
         spec.validate()
 
 
+# the names each family's sweep accepted before the quantity table: the report
+# fields but f_opt_locc for every family, and the two filter values for sigma
+_REPORT_NAMES = ("lambda_max", "is_npt", "dembo_lower", "dembo_upper_paper", "dembo_upper_quarter",
+                 "singlet_fraction_lower", "fidelity_upper", "verdict")
+_SIGMA_NAMES = ("f_opt_spa", "f_opt_pt")
+
+
+@pytest.mark.parametrize("family", list(states.FAMILIES))
+def test_every_family_accepts_exactly_the_names_it_accepted(family):
+    lo, hi, _ = states.FAMILIES[family].interval
+    names = dict.fromkeys([*criteria.QUANTITIES, "f_opt_locc", "pt_min", "dembo", "bogus", ""])
+    for name in names:
+        spec = SweepSpec(family, lo + 0.25 * (hi - lo), hi, 3, (name,))
+        if name in _REPORT_NAMES or (family == "sigma" and name in _SIGMA_NAMES):
+            spec.validate()
+        else:
+            with pytest.raises(InvalidSpec) as exc:
+                spec.validate()
+            assert str(exc.value) == f"unknown quantity {name!r} for family {family!r}"
+    assert {q for q, (_, sweeps) in criteria.QUANTITIES.items() if sweeps is None} == set(_REPORT_NAMES)
+
+
+@pytest.mark.parametrize("steps, dim, message", [
+    (3, 0, "need 2 <= dim <= 8, got 0"),
+    (3, 1, "need 2 <= dim <= 8, got 1"),
+    (3, 40, "need 2 <= dim <= 8, got 40"),
+    (3, 2.5, "steps and dim must be integers, got 3 and 2.5"),
+    (2.5, None, "steps and dim must be integers, got 2.5 and None"),
+    ("3", 3, "steps and dim must be integers, got '3' and 3"),
+])
+def test_sweep_spec_checks_dim_and_integer_steps(tmp_path, steps, dim, message):
+    # cmd_sweep is public: a spec that argparse would have refused still gets a named error
+    out = tmp_path / "x.csv"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        cmd_sweep(SweepSpec("noisy_singlet", 0.0, 1.0, steps, ("lambda_max",), dim), str(out))
+    assert not out.exists()
+    spec = SweepSpec("noisy_singlet", 0.0, 1.0, np.int64(3), ("lambda_max",), np.int64(cli.MAX_DIM))
+    assert cmd_sweep(spec, str(out)) == EXIT_OK
+    assert out.read_text().count("\n") == 4
+
+
 def test_sweep_bit_identical(tmp_path):
     args = [
         "sweep", "--family", "rho2", "--from", "0.35", "--to", "0.369",
@@ -367,7 +410,7 @@ def test_noisy_singlet_dim_defaults_to_3(tmp_path):
 
 def _sweep_rho3(steps: int, out) -> list[str]:
     return ["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", str(steps),
-            "--quantities", ",".join(cli._REPORT_QUANTITIES), "-o", str(out)]
+            "--quantities", sweep_quantities("rho3"), "-o", str(out)]
 
 
 @pytest.mark.parametrize("first, second", [(200, 3), (3, 200)], ids=["shrink", "grow"])
@@ -423,6 +466,16 @@ def test_usage_errors_leave_an_existing_file_unchanged(tmp_path, capsys):
         assert main(argv) == EXIT_USAGE, argv
         assert capsys.readouterr().err.startswith(("error: invalid sweep spec", "usage:"))
         assert path.read_bytes() == old
+
+
+@pytest.mark.parametrize("family", ["sigma", "rho3"])
+def test_a_bad_dembo_variant_leaves_an_existing_file_unchanged(tmp_path, family):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"old content\n")
+    lo, hi, _ = states.FAMILIES[family].interval
+    with pytest.raises(ValueError, match="variant must be 'paper' or 'quarter', got 'half'"):
+        cmd_sweep(SweepSpec(family, lo + 0.25 * (hi - lo), hi, 3, ("lambda_max",)), str(path), "half")
+    assert path.read_bytes() == b"old content\n"
 
 
 def test_writer_never_truncates_on_open(tmp_path, monkeypatch):
@@ -571,7 +624,7 @@ def _argv(rng, paths: dict) -> list[str]:
         family = draw(list(states.FAMILIES), ["rho9", ""])
         lo, hi, _ = states.FAMILIES[family].interval if family in states.FAMILIES else (0.0, 1.0, False)
         low, mid, high = (repr(lo + f * (hi - lo)) for f in (0.1, 0.5, 0.9))
-        quantities = ["lambda_max", "lambda_max,verdict,is_npt", "f_opt_pt,f_opt_spa", ",".join(cli._REPORT_QUANTITIES)]
+        quantities = ["lambda_max", "lambda_max,verdict,is_npt", "f_opt_pt,f_opt_spa", sweep_quantities("rho3")]
         flags = [["--family", family], ["--from", draw([low, mid], floats)], ["--to", draw([mid, high], floats)],
                  ["--steps", draw(["2", "3", "5"], ints)],
                  ["--quantities", draw(quantities, [",", " ", "", "bogus"])], ["-o", out],

@@ -24,6 +24,7 @@ from teleres import (
     f_opt_locc_pt,
     f_opt_locc_spa,
     fef_2qubit,
+    fidelity_from_fraction,
     is_npt,
     max_eigenvalue,
     noisy_singlet,
@@ -40,10 +41,11 @@ from teleres import (
     verdict,
     x_opt,
 )
-from teleres import cli, linalg, states
+from teleres import cli, criteria, linalg, states
 from teleres.criteria import DemboDecomposition
 from teleres.linalg import NotHermitian, hermitian_eigen, hermiticity_defect, trace_product
 from teleres.oracle import _rng, random_density_matrix
+from conftest import sweep_quantities
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -341,6 +343,21 @@ def test_stacked_criteria_equal_single_state_values(d):
             assert frac[i] == singlet_fraction_basis(one, qutrit_me_basis())
 
 
+@pytest.mark.parametrize("name,build,params", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_an_empty_stack_gives_no_reports(name, build, params):
+    assert verdict(build(np.array([])), "quarter") == []
+
+
+def test_range_checks_pass_an_empty_vector_and_fail_nan():
+    assert FilterOperator(np.array([])).a.size == 0
+    assert fidelity_from_fraction(np.array([]), 3).shape == (0,)
+    for bad in (np.nan, np.array([0.5, np.nan])):
+        with pytest.raises(ValueError, match="outside"):
+            FilterOperator(bad)
+        with pytest.raises(ValueError, match="outside"):
+            fidelity_from_fraction(bad, 3)
+
+
 def test_filter_routes_take_a_vector_of_filter_parameters():
     sig = sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j)
     a = np.linspace(0.0, 1.0, 33)
@@ -376,7 +393,7 @@ def test_sweep_eigensolves_a_whole_family_a_constant_number_of_times(tmp_path, m
         return lapack(mat)
 
     monkeypatch.setattr(linalg, "_eigvalsh", counting)
-    quantities = ",".join(cli._REPORT_QUANTITIES)
+    quantities = sweep_quantities("rho3")
     for steps in (20, 200):
         sizes.clear()
         argv = ["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", str(steps),
@@ -436,10 +453,9 @@ def test_blocked_sweep_is_byte_identical_to_one_block(tmp_path, monkeypatch, dem
     def counting(path, header, blocks):
         write(path, header, (sizes.append(len(block[0])) or block for block in blocks))
 
-    quantities = ",".join(cli._REPORT_QUANTITIES)
     for family, lo, hi, extra in SWEEPS:
-        q = quantities + ",f_opt_spa,f_opt_pt" if family == "sigma" else quantities
-        argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", "200", "--quantities", q,
+        argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", "200",
+                "--quantities", sweep_quantities(family),
                 "--dembo", dembo, *extra]
         one, blocked = tmp_path / "one.csv", tmp_path / "blocked.csv"
         assert cli.main([*argv, "-o", str(one)]) == cli.EXIT_OK
@@ -461,13 +477,58 @@ def test_sweep_memory_is_bounded_by_the_block(tmp_path, argv):
     # holding every state at once peaks at about 92 MB traced on both
     tracemalloc.start()
     try:
-        code = cli.main(["sweep", *argv, "--quantities", ",".join(cli._REPORT_QUANTITIES),
+        code = cli.main(["sweep", *argv, "--quantities", sweep_quantities(argv[1]),
                          "-o", str(tmp_path / "out.csv")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == cli.EXIT_OK
     assert peak < 40e6
+
+
+@pytest.mark.parametrize("dembo", ["paper", "quarter"])
+def test_each_name_alone_writes_its_column_of_the_full_sweep(tmp_path, dembo):
+    for family, lo, hi, extra in SWEEPS:
+        argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", "50", "--dembo", dembo, *extra]
+        names = sweep_quantities(family).split(",")
+        full = tmp_path / "full.csv"
+        assert cli.main([*argv, "--quantities", ",".join(names), "-o", str(full)]) == cli.EXIT_OK
+        rows = [line.split(",") for line in full.read_text().splitlines()]
+        for i, name in enumerate(names, 1):
+            alone = tmp_path / f"{name}.csv"
+            assert cli.main([*argv, "--quantities", name, "-o", str(alone)]) == cli.EXIT_OK
+            want = "".join(f"{row[0]},{row[i]}\n" for row in rows)
+            assert alone.read_text() == want, (family, extra, name)
+
+
+@pytest.mark.parametrize("quantities, solved", [
+    ("lambda_max", [(7, 9, 9)]),  # validation's solve only
+    ("is_npt", [(7, 9, 9), (7, 9, 9)]),  # and the partial transposes
+    ("dembo_upper_quarter,lambda_max", [(7, 8, 8), (7, 9, 9)]),  # and the R_sub blocks
+    ("singlet_fraction_lower", [(7, 9, 9)]),  # the qutrit basis overlap solves nothing
+])
+def test_a_sweep_solves_only_what_its_quantities_need(tmp_path, monkeypatch, quantities, solved):
+    sizes = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: sizes.append(np.shape(m)) or lapack(m))
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ENTRIES", 7 * 81)  # 3 blocks of 7 states
+    argv = ["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", "21",
+            "--quantities", quantities, "-o", str(tmp_path / "rho3.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sorted(sizes) == sorted(solved * 3)
+
+
+def test_no_sweep_runs_the_filter_optimum(tmp_path, monkeypatch):
+    def refuse(rho):
+        raise AssertionError("optimize_filter ran")
+
+    monkeypatch.setattr(criteria, "optimize_filter", refuse)
+    for family, lo, hi, extra in SWEEPS:
+        argv = ["sweep", "--family", family, "--from", lo, "--to", hi, "--steps", "5",
+                "--quantities", sweep_quantities(family), *extra, "-o", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+    with pytest.raises(AssertionError, match="optimize_filter ran"):
+        verdict(noisy_singlet(0.5, 2))
 
 
 def test_a_failing_block_leaves_no_partial_csv(tmp_path, monkeypatch, capsys):
