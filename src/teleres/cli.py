@@ -23,7 +23,6 @@ import numpy as np
 from . import criteria, oracle, states
 from .criteria import (
     FilterOperator,
-    dembo_bounds,
     f_opt_locc_spa,
     fef_2qubit,
     max_eigenvalue,
@@ -216,27 +215,25 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
     elif target == "ex_rho3":
         r = rho3(0.65)
         dec = criteria.DemboDecomposition.from_matrix(r.mat)
-        _, up_paper = dembo_bounds(r, "paper", eta_high=0.325)
-        _, up_quarter = dembo_bounds(r, "quarter", eta_high=0.325)
+        quoted = criteria.DemboDecomposition.from_matrix(r.mat, eta_high=0.325)  # the paper's eta
         rows = [
             row("corner_c", 0.1750, dec.c, 1e-12),
             row("btb", 0.015 ** 2, float(np.vdot(dec.b, dec.b).real), 1e-12),
             row("eta8_exact", 0.325, dec.eta_high, 1e-12),
-            row("dembo_upper_paper", 0.357, up_paper, 1e-3),
-            row("dembo_upper_quarter", 0.3265, up_quarter, 1e-3),
+            row("dembo_upper_paper", 0.357, quoted.upper_paper, 1e-3),
+            row("dembo_upper_quarter", 0.3265, quoted.upper_quarter, 1e-3),
             row("lambda_max", 0.3265, max_eigenvalue(r), 1e-3),
         ]
     elif target == "ex_rho_alpha":
         r = rho_alpha(5.0)
-        _, up_paper = dembo_bounds(r, "paper", eta_high=5.0 / 21.0)
-        _, up_quarter = dembo_bounds(r, "quarter", eta_high=5.0 / 21.0)
+        dec = criteria.DemboDecomposition.from_matrix(r.mat, eta_high=5.0 / 21.0)
         # 0.3135 is the quoted value; neither variant reproduces it
         rows = [
             row("lambda_max", 2.0 / 7.0, max_eigenvalue(r), 1e-10),
-            row("dembo_upper_paper_vs_quoted", 0.3135, up_paper),
-            row("dembo_upper_quarter_vs_quoted", 0.3135, up_quarter),
-            row("dembo_upper_paper", 0.3350, up_paper, 1e-4),
-            row("dembo_upper_quarter", 0.3191, up_quarter, 1e-4),
+            row("dembo_upper_paper_vs_quoted", 0.3135, dec.upper_paper),
+            row("dembo_upper_quarter_vs_quoted", 0.3135, dec.upper_quarter),
+            row("dembo_upper_paper", 0.3350, dec.upper_paper, 1e-4),
+            row("dembo_upper_quarter", 0.3191, dec.upper_quarter, 1e-4),
         ]
     else:
         raise InvalidSpec(f"unknown reproduce target {target!r}")
@@ -326,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="analyze a density-matrix file")
     p_an.add_argument("file")
-    p_an.add_argument("--dembo", choices=("paper", "quarter"), default="paper")
+    p_an.add_argument("--dembo", choices=criteria.DEMBO_VARIANTS, default="paper")
     p_an.add_argument("--json", action="store_true", help="full-precision machine output")
 
     p_re = sub.add_parser("reproduce", help="emit a bundled reference curve or example as CSV")
@@ -340,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--steps", type=int, required=True)
     p_sw.add_argument("--quantities", required=True, help="comma-separated list")
     p_sw.add_argument("-o", "--output", required=True)
-    p_sw.add_argument("--dembo", choices=("paper", "quarter"), default="paper")
+    p_sw.add_argument("--dembo", choices=criteria.DEMBO_VARIANTS, default="paper")
     p_sw.add_argument("--dim", type=_int_at_least(2, MAX_DIM),
                       help=f"local dimension for noisy_singlet (default 3), at most {MAX_DIM}")
 

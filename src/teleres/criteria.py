@@ -46,10 +46,12 @@ __all__ = [
     "max_eigenvalue",
     "fidelity_from_fraction",
     "dembo_bounds",
+    "DEMBO_VARIANTS",
     "verdict",
 ]
 
 NPT_TOL = 1e-10
+DEMBO_VARIANTS = ("paper", "quarter")  # a split's upper bounds, as dembo_bounds, verdict and the CLI name them
 
 
 class DimensionUnsupported(ValueError):
@@ -68,8 +70,8 @@ def _vdot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _check_variant(variant: str) -> None:
-    if variant not in ("paper", "quarter"):
-        raise ValueError(f"variant must be 'paper' or 'quarter', got {variant!r}")
+    if variant not in DEMBO_VARIANTS:
+        raise ValueError(f"variant must be {' or '.join(map(repr, DEMBO_VARIANTS))}, got {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -85,21 +87,16 @@ class FilterOperator:
             raise ValueError(f"filter parameter a = {self.a!r} outside [0, 1]")
 
 
-def partial_transpose(rho: DensityMatrix, subsystem: str = "second") -> np.ndarray:
-    """Transpose the indices of one subsystem only.
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """rho^Gamma: transpose the indices of the second subsystem only.
 
     Hermitian and trace-preserving but possibly non-PSD; a negative
-    eigenvalue witnesses entanglement.
+    eigenvalue witnesses entanglement. The first subsystem's partial
+    transpose is this one's full transpose, so it has the same spectrum.
     """
     d = rho.d
     r = rho.mat.reshape(rho.mat.shape[:-2] + (d, d, d, d))
-    if subsystem == "second":
-        out = r.swapaxes(-3, -1)
-    elif subsystem == "first":
-        out = r.swapaxes(-4, -2)
-    else:
-        raise ValueError(f"subsystem must be 'first' or 'second', got {subsystem!r}")
-    return np.ascontiguousarray(out.reshape(rho.mat.shape))
+    return np.ascontiguousarray(r.swapaxes(-3, -1).reshape(rho.mat.shape))
 
 
 def _pt_min(rho: DensityMatrix) -> np.ndarray:
@@ -216,14 +213,18 @@ def optimize_filter(rho: DensityMatrix) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=16)  # keyed by the vectors' identity; they are immutable
-def _support(basis: tuple[MaximallyEntangledVector, ...]) -> tuple[np.ndarray, ...]:
-    """(rows, cols, conj amplitudes, amplitudes) of each vector's support: its
-    nonzero indices, padded with zero-amplitude ones to the widest, ascending."""
+def _support(basis: tuple[MaximallyEntangledVector, ...]) -> tuple:
+    """(the vectors' length, then rows, cols, conj amplitudes, amplitudes of
+    each vector's support: its nonzero indices, padded with zero-amplitude
+    ones to the widest, ascending); vectors of mixed lengths raise."""
+    sizes = {b.vec.size for b in basis}
+    if len(sizes) != 1:
+        raise DimensionMismatch(f"basis vectors have mixed lengths {sorted(sizes)}")
     vecs = np.array([b.vec for b in basis])
     width = int(np.count_nonzero(vecs, axis=1).max())
     idx = np.sort(np.argsort(vecs == 0, axis=1, kind="stable")[:, :width], axis=1)
     amps = np.take_along_axis(vecs, idx, axis=1)
-    return idx[:, :, None], idx[:, None, :], amps.conj(), amps
+    return vecs.shape[1], idx[:, :, None], idx[:, None, :], amps.conj(), amps
 
 
 def singlet_fraction_basis(rho: DensityMatrix, basis: list[MaximallyEntangledVector]) -> float:
@@ -236,12 +237,9 @@ def singlet_fraction_basis(rho: DensityMatrix, basis: list[MaximallyEntangledVec
     """
     if not basis:
         raise ValueError("basis is empty")
-    for b in basis:
-        if b.vec.size != rho.dim:
-            raise DimensionMismatch(
-                f"basis vector of length {b.vec.size} does not match state dim {rho.dim}"
-            )
-    rows, cols, conj_amps, amps = _support(tuple(basis))
+    n, rows, cols, conj_amps, amps = _support(tuple(basis))
+    if n != rho.dim:
+        raise DimensionMismatch(f"basis vector of length {n} does not match state dim {rho.dim}")
     return _py(np.einsum("ki,...kij,kj->...k", conj_amps, rho.mat[..., rows, cols], amps).real.max(axis=-1))
 
 
@@ -281,13 +279,23 @@ def fidelity_from_fraction(fraction: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class DemboDecomposition:
-    """Bordered block split [[R_sub, b], [b^dag, c]] of a Hermitian matrix.
+    """Bordered block split [[R_sub, b], [b^dag, c]] of a Hermitian matrix,
+    with the two-sided bounds on its largest eigenvalue that it gives.
 
-    ``eta_low`` and ``eta_high`` bound the spectrum of R_sub from below
-    and above; ``r_sub`` is a read-only view of the matrix. A stack splits
-    member by member, and ``c`` and the eta bounds are then arrays. The
-    matrix is not checked for Hermiticity: pass a validated state's
-    ``mat``, whose principal block R_sub is then as Hermitian as the state.
+    ``eta_low`` and ``eta_high`` are the extreme eigenvalues of R_sub;
+    ``r_sub`` is a read-only view of the matrix. The bounds are
+
+    lower = (c + eta_low)/2 + sqrt((c - eta_low)^2/4 + b^dag b),
+    upper_paper = (c + eta_high)/2 + sqrt((c - eta_high)^2/2 + b^dag b),
+
+    and ``upper_quarter`` the same with 4 for 2 under the square root: the
+    classical tight form, the top eigenvalue of the 2x2 compression
+    [[eta, |b|], [|b|, c]]. The paper variant is looser but is the one
+    whose printed values this toolkit reproduces. For one matrix the
+    scalars are numpy floats; a stack splits member by member, and they
+    are then arrays. The matrix is not checked for Hermiticity: pass a
+    validated state's ``mat``, whose principal block R_sub is then as
+    Hermitian as the state.
     """
 
     r_sub: np.ndarray
@@ -295,62 +303,44 @@ class DemboDecomposition:
     c: float
     eta_low: float
     eta_high: float
+    lower: float
+    upper_paper: float
+    upper_quarter: float
 
     @classmethod
-    def from_matrix(
-        cls, mat: np.ndarray, *, eta_low: float | None = None, eta_high: float | None = None
-    ) -> "DemboDecomposition":
-        """Split off the last row/column; None eta bounds are computed
-        exactly by eigensolving R_sub, and given ones must be finite."""
+    def from_matrix(cls, mat: np.ndarray, *, eta_high: float | None = None) -> "DemboDecomposition":
+        """Split off the last row/column and bound the top eigenvalue, in one
+        eigensolve of R_sub. A given ``eta_high``, which must be finite,
+        replaces the exact one in the upper bounds, to replay a quoted value."""
         m = np.asarray(mat, dtype=np.complex128)
         n = m.shape[-1]
         if n < 2:
             raise ValueError("Dembo split needs dim >= 2")
+        if not (eta_high is None or np.isfinite(eta_high).all()):
+            raise ValueError(f"eta_high must be finite, got {eta_high!r}")
         # eigvalsh solves a strided R_sub with a copy's bits; a strided b would move the bounds an ulp
         r_sub = m[..., : n - 1, : n - 1]
         r_sub.setflags(write=False)
         b = np.ascontiguousarray(m[..., : n - 1, n - 1])
-        if not all(eta is None or np.isfinite(eta).all() for eta in (eta_low, eta_high)):
-            raise ValueError(f"eta bounds must be finite, got eta_low={eta_low!r}, eta_high={eta_high!r}")
-        if eta_low is None or eta_high is None:
-            eig = linalg._eigvalsh(r_sub)
-            eta_low = eig[..., 0] if eta_low is None else eta_low
-            eta_high = eig[..., -1] if eta_high is None else eta_high
-        c = m[..., n - 1, n - 1].real
-        return cls(r_sub, b, *(_py(np.asarray(x, dtype=np.float64)) for x in (c, eta_low, eta_high)))
+        eig = linalg._eigvalsh(r_sub)
+        # [()] unwraps one matrix's 0-d arrays to numpy floats, as the arithmetic below returns them
+        eta_low, eta_high = eig[..., 0][()], eig[..., -1][()] if eta_high is None else eta_high
+        c = m[..., n - 1, n - 1].real[()]
+        btb = _vdot(b, b).real
+        # libm pow, like Python's float **; ndarray ** 2 would multiply instead
+        low2, gap2 = np.float_power((c - eta_low, c - eta_high), 2)
+        mid = (c + eta_high) / 2.0
+        return cls(r_sub, b, c, eta_low, eta_high, (c + eta_low) / 2.0 + np.sqrt(low2 / 4.0 + btb),
+                   mid + np.sqrt(gap2 / 2.0 + btb), mid + np.sqrt(gap2 / 4.0 + btb))
 
 
-def dembo_bounds(
-    rho: DensityMatrix,
-    variant: str = "paper",
-    *,
-    eta_low: float | None = None,
-    eta_high: float | None = None,
-) -> tuple[float, float]:
-    """Two-sided bounds on the largest eigenvalue from the bordered split.
-
-    lower = (c + eta_low)/2 + sqrt((c - eta_low)^2/4 + b^dag b); the upper
-    bound uses eta_high with denominator 2 under the square root for
-    variant "paper" and 4 for variant "quarter". The quarter variant is
-    the classical tight form (the top eigenvalue of the 2x2 compression
-    [[eta, |b|], [|b|, c]]); the paper variant is looser but is the one
-    whose printed values this toolkit reproduces. None eta bounds are
-    computed exactly; pass explicit values to replay quoted numbers.
-    """
+def dembo_bounds(rho: DensityMatrix, variant: str = "paper", *, eta_high: float | None = None) -> tuple[float, float]:
+    """(lower, upper) bound on the largest eigenvalue: the ``lower`` and the
+    ``upper_<variant>`` of the state's :class:`DemboDecomposition`. The
+    exact eta_high is used unless one is given, to replay a quoted number."""
     _check_variant(variant)
-    dec = DemboDecomposition.from_matrix(rho.mat, eta_low=eta_low, eta_high=eta_high)
-    lower, up_paper, up_quarter = _dembo_all(dec)
-    return _py(lower), _py(up_paper if variant == "paper" else up_quarter)
-
-
-def _dembo_all(dec: DemboDecomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lower, paper upper, quarter upper) from one split, per member."""
-    btb = _vdot(dec.b, dec.b).real
-    # libm pow, like Python's float **; ndarray ** 2 would multiply instead
-    low2, gap2 = np.float_power((dec.c - dec.eta_low, dec.c - dec.eta_high), 2)
-    lower = (dec.c + dec.eta_low) / 2.0 + np.sqrt(low2 / 4.0 + btb)
-    mid = (dec.c + dec.eta_high) / 2.0
-    return lower, mid + np.sqrt(gap2 / 2.0 + btb), mid + np.sqrt(gap2 / 4.0 + btb)
+    dec = DemboDecomposition.from_matrix(rho.mat, eta_high=eta_high)
+    return _py(dec.lower), _py(dec.upper_paper if variant == "paper" else dec.upper_quarter)
 
 
 class Verdict(str, Enum):
@@ -409,15 +399,15 @@ def _first_rule(s: _Memo, rho: DensityMatrix) -> list[Verdict]:
 # their module globals, so a rebound module attribute is what runs.
 QUANTITIES = {
     "pt_min": (lambda s, rho: _pt_min(rho), ()),
-    "dembo": (lambda s, rho: _dembo_all(DemboDecomposition.from_matrix(rho.mat)), ()),
+    "dembo": (lambda s, rho: DemboDecomposition.from_matrix(rho.mat), ()),
     "is_npt": (lambda s, rho: s.get("pt_min") < -NPT_TOL, None),
     # [()] unwraps one state's 0-d array to a numpy scalar, on which every operator is a full ufunc call
     "lambda_max": (lambda s, rho: rho.spectrum[..., -1][()], None),
     "singlet_fraction_lower": (lambda s, rho: _singlet_fraction_lower(rho), None),
     "f_opt_locc": (lambda s, rho: optimize_filter(rho)[1] if rho.d == 2 else [None] * np.size(s.get("lambda_max")), ()),
-    "dembo_lower": (lambda s, rho: s.get("dembo")[0], None),
-    "dembo_upper_paper": (lambda s, rho: s.get("dembo")[1], None),
-    "dembo_upper_quarter": (lambda s, rho: s.get("dembo")[2], None),
+    "dembo_lower": (lambda s, rho: s.get("dembo").lower, None),
+    "dembo_upper_paper": (lambda s, rho: s.get("dembo").upper_paper, None),
+    "dembo_upper_quarter": (lambda s, rho: s.get("dembo").upper_quarter, None),
     "fidelity_upper": (lambda s, rho: fidelity_from_fraction(np.minimum(s.get("lambda_max"), 1.0), rho.d), None),
     "verdict": (_first_rule, None),
     "f_opt_spa": (lambda s, rho: f_opt_locc_spa(rho, FilterOperator(s.params)), ("sigma",)),

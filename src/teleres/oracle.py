@@ -267,9 +267,9 @@ def _basis_below_lambda_max(rho: DensityMatrix) -> np.ndarray:
 
 
 def _dembo_quarter_sandwich(rho: DensityMatrix) -> np.ndarray:
-    lam = rho.spectrum[:, -1]
-    lower, upper_p, upper_q = criteria._dembo_all(criteria.DemboDecomposition.from_matrix(rho.mat))
-    return np.minimum(np.minimum(lam - lower + 1e-9, upper_q - lam + 1e-9), upper_p - upper_q + 1e-9)
+    lam, dec = rho.spectrum[:, -1], criteria.DemboDecomposition.from_matrix(rho.mat)
+    return np.minimum(np.minimum(lam - dec.lower + 1e-9, dec.upper_quarter - lam + 1e-9),
+                      dec.upper_paper - dec.upper_quarter + 1e-9)
 
 
 DEFAULT_CHECKS = (

@@ -352,12 +352,13 @@ def save_state(rho: DensityMatrix, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def load_state(path: str | os.PathLike, *, psd_tol: float = RHO2_PSD_TOL) -> DensityMatrix:
+def load_state(path: str | os.PathLike) -> DensityMatrix:
     """Parse and validate a density-matrix document.
 
     Raises :class:`ParseError` for malformed documents and
-    :class:`NotAState` when validation fails. The PSD floor matches the
-    loosest bundled family so every catalog state round-trips.
+    :class:`NotAState` when validation fails. The PSD floor is
+    ``RHO2_PSD_TOL``, the loosest bundled family's, so every catalog
+    state round-trips.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -391,4 +392,4 @@ def load_state(path: str | os.PathLike, *, psd_tol: float = RHO2_PSD_TOL) -> Den
         bad = next(x for entry in entries for x in entry if type(x) not in (int, float))
         raise ParseError(f"entries must be [re, im] number pairs, got {json.dumps(bad)}")
     mat = pairs.view(np.complex128).reshape(d * d, d * d)  # (re, im) pairs, no arithmetic on inf
-    return DensityMatrix(mat, d, psd_tol=psd_tol)
+    return DensityMatrix(mat, d, psd_tol=RHO2_PSD_TOL)

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from teleres import NotAState, cli, criteria, noisy_singlet, rho1, rho3, save_state, states, verdict
+from teleres import NotAState, cli, criteria, linalg, noisy_singlet, rho1, rho3, save_state, states, verdict
 from teleres.criteria import CriterionReport, Verdict
 from teleres.cli import (
     EXIT_AUDIT,
@@ -206,6 +206,17 @@ def test_reproduce_rho_alpha_flags_discrepancy(tmp_path):
     assert by_name["dembo_upper_quarter_vs_quoted"][4] == "NO"
     assert float(by_name["dembo_upper_paper"][2]) == pytest.approx(0.3350, abs=1e-4)
     assert float(by_name["dembo_upper_quarter"][2]) == pytest.approx(0.3191, abs=1e-4)
+
+
+@pytest.mark.parametrize("target, solves", [("ex_rho3", [9, 8, 8]), ("ex_rho_alpha", [9, 8])])
+def test_worked_examples_split_each_state_once_per_eta(tmp_path, monkeypatch, target, solves):
+    # the state's validation, then one R_sub solve per split: ex_rho3 splits with the exact and the
+    # quoted eta, ex_rho_alpha with the quoted one only, and each split gives both upper variants
+    sizes = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: sizes.append(m.shape[-1]) or lapack(m))
+    assert main(["reproduce", target, "-o", str(tmp_path / "out.csv")]) == EXIT_OK
+    assert sizes == solves
 
 
 def test_reproduce_bit_identical(tmp_path):
