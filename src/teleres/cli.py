@@ -21,28 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, oracle, states
-from .criteria import (
-    FilterOperator,
-    f_opt_locc_spa,
-    fef_2qubit,
-    max_eigenvalue,
-    sigma_spa_threshold,
-    singlet_fraction_basis,
-    spa_pt,
-    verdict,
-    x_opt,
-)
+from .criteria import (FilterOperator, f_opt_locc_spa, fef_2qubit, max_eigenvalue, sigma_spa_threshold, spa_pt,
+                       verdict, x_opt)
 from .linalg import trace_product
-from .states import (
-    NotAState,
-    ParseError,
-    load_state,
-    qutrit_me_basis,
-    rho1,
-    rho2,
-    rho3,
-    rho_alpha,
-)
+from .states import NotAState, ParseError, load_state, rho1, rho3, rho_alpha
 
 __all__ = ["main", "entry", "SweepSpec", "InvalidSpec", "cmd_analyze", "cmd_reproduce", "cmd_sweep", "cmd_audit"]
 
@@ -59,7 +41,6 @@ MAX_DIM = 8
 # 64 at d = 8, so a sweep's memory is bounded whatever --steps and --dim are
 SWEEP_BLOCK_ENTRIES = 2**18
 
-REPRODUCE_TARGETS = ("fig1", "fig2", "fig3", "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
 
 class InvalidSpec(ValueError):
     """Sweep specification violates a constraint."""
@@ -90,16 +71,26 @@ class SweepSpec:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not 2 <= steps <= MAX_STEPS:
             raise InvalidSpec(f"need 2 <= steps <= {MAX_STEPS}, got {self.steps}")
-        vlo, vhi, open_lo = states.FAMILIES[self.family].interval
-        if not ((self.lo > vlo if open_lo else self.lo >= vlo) and self.hi <= vhi):
-            interval = f"{'(' if open_lo else '['}{vlo}, {vhi}]"
-            raise InvalidSpec(f"range [{self.lo}, {self.hi}] outside {interval} of {self.family}")
+        try:
+            states._family_params("range end", (self.lo, self.hi), self.family)
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from None
         if not self.quantities:
             raise InvalidSpec("quantity list is empty")
         for q in self.quantities:
             sweeps = criteria.QUANTITIES[q][1] if q in criteria.QUANTITIES else ()
             if not (sweeps is None or self.family in sweeps):
                 raise InvalidSpec(f"unknown quantity {q!r} for family {self.family!r}")
+
+
+# the paper's figures, each one quantity of a family over 200 steps: (its sweep, the paper's CSV header)
+FIGURES = {
+    "fig1": (SweepSpec("sigma", 0.78, 1.0, 200, ("f_opt_spa",)), ["a", "f_opt"]),
+    "fig2": (SweepSpec("rho2", 0.35, 0.369, 200, ("singlet_fraction_lower",)), ["a", "singlet_fraction"]),
+    "fig3": (SweepSpec("rho2", 0.35, 0.369, 200, ("lambda_max",)), ["a", "lambda_max"]),
+}
+
+REPRODUCE_TARGETS = (*FIGURES, "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha")
 
 
 def _write_csv(path: str, header: list[str], blocks) -> None:
@@ -142,10 +133,6 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
             raise
 
 
-def _sigma1() -> states.DensityMatrix:
-    return states.FAMILIES["sigma"].build(None, 2)
-
-
 def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) -> int:
     rho = load_state(path)
     report = verdict(rho, dembo_variant)
@@ -175,16 +162,7 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
 
 
 def _reproduce_columns(target: str) -> tuple[list[str], list]:
-    if target == "fig1":
-        a = np.linspace(0.78, 1.0, 200)
-        return ["a", "f_opt"], [a, f_opt_locc_spa(_sigma1(), FilterOperator(a))]
-
-    if target in ("fig2", "fig3"):
-        a = np.linspace(0.35, 0.369, 200)
-        if target == "fig2":
-            return ["a", "singlet_fraction"], [a, singlet_fraction_basis(rho2(a), qutrit_me_basis())]
-        return ["a", "lambda_max"], [a, max_eigenvalue(rho2(a))]
-
+    """A worked example's CSV header and columns: each quoted value beside the computed one."""
     header = ["quantity", "expected", "computed", "abs_diff", "reproduced"]
 
     def row(name: str, expected: float, computed: float, tol: float = 1e-3) -> list:
@@ -192,7 +170,7 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
         return [name, expected, computed, diff, "yes" if diff <= tol else "NO"]
 
     if target == "ex_sigma1":
-        sig = _sigma1()
+        sig = states.FAMILIES["sigma"].build(None, 2)
         rows = [
             row("trace_xopt_spa_a1_x18", 4.9, 18.0 * trace_product(x_opt(FilterOperator(1.0)), spa_pt(sig).mat).real),
             row("f_opt_spa_a0.78", 0.4966, f_opt_locc_spa(sig, FilterOperator(0.78)), 1e-4),
@@ -240,24 +218,18 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
     return header, list(zip(*rows))
 
 
-def cmd_reproduce(target: str, out_path: str) -> int:
-    header, columns = _reproduce_columns(target)
-    _write_csv(out_path, header, [columns])
-    return EXIT_OK
-
-
-def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper") -> int:
-    """Write a family's curve as CSV, one block of the parameter vector at a time.
+def _sweep_blocks(spec: SweepSpec, dembo_variant: str):
+    """Validate ``spec`` and ``dembo_variant``, then return the generator of
+    the curve's blocks; callers open the output after this call, so a bad
+    spec or variant leaves an existing file as it was.
 
     A block holds at most ``SWEEP_BLOCK_ENTRIES`` matrix entries. Its states
     are built as one stack, only the asked quantities are computed, and the
     block is written before the next is built. Every member's values are
-    those it has alone, so the file does not depend on the block size. The
-    spec is validated before the output is opened, so a bad spec leaves an
-    existing file as it was.
+    those it has alone, so the file does not depend on the block size.
     """
     spec.validate()
-    criteria._check_variant(dembo_variant)  # before the output is opened, as the spec is
+    criteria._check_variant(dembo_variant)
     family = states.FAMILIES[spec.family]
     d = family.d or (3 if spec.dim is None else spec.dim)
     size = max(1, SWEEP_BLOCK_ENTRIES // d**4)
@@ -268,13 +240,29 @@ def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper") -> i
         cols = [c * (len(block) // len(c)) for c in cols]  # sigma's one state: its values repeat over the block
         return [block, *([v.value for v in c] if q == "verdict" else c for q, c in zip(spec.quantities, cols))]
 
-    blocks = (columns(params[i : i + size]) for i in range(0, spec.steps, size))
-    _write_csv(out_path, ["param", *spec.quantities], blocks)
+    return (columns(params[i : i + size]) for i in range(0, spec.steps, size))
+
+
+def cmd_reproduce(target: str, out_path: str) -> int:
+    """Write a paper figure or worked example as CSV. A figure is the sweep
+    ``FIGURES`` names for it, under the paper's header."""
+    if target in FIGURES:
+        spec, header = FIGURES[target]
+        _write_csv(out_path, header, _sweep_blocks(spec, "paper"))
+    else:
+        header, columns = _reproduce_columns(target)
+        _write_csv(out_path, header, [columns])
     return EXIT_OK
 
 
-def cmd_audit(trials: int, seed: int, checks=None) -> int:
-    report = oracle.inequality_harness(trials, seed, checks)
+def cmd_sweep(spec: SweepSpec, out_path: str, dembo_variant: str = "paper") -> int:
+    """Write the curve of ``spec`` as CSV, one block at a time (see ``_sweep_blocks``)."""
+    _write_csv(out_path, ["param", *spec.quantities], _sweep_blocks(spec, dembo_variant))
+    return EXIT_OK
+
+
+def cmd_audit(trials: int, seed: int) -> int:
+    report = oracle.inequality_harness(trials, seed)
     for c in report.checks:
         status = "ok" if c.violations == 0 else "VIOLATED"
         print(

@@ -158,7 +158,7 @@ def spa_trace_identity(x: np.ndarray, rho: DensityMatrix) -> float | np.ndarray:
     ``x_opt(..., unit_trace=True)``); for general X the two sides differ
     by d Tr(X) - d because (d^3 + 1) rho~ = rho^Gamma + d I; a stack gives one value per member.
     """
-    if not np.max(hermiticity_defect(x), initial=0.0) <= 1e-10:  # NaN fails too
+    if not np.max(hermiticity_defect(x), initial=0.0) <= linalg.HERMITIAN_TOL:  # NaN fails too
         raise ValueError("X must be Hermitian")
     return (rho.d**3 + 1) * trace_product(x, spa_pt(rho).mat).real - rho.d
 
@@ -340,7 +340,7 @@ def dembo_bounds(rho: DensityMatrix, variant: str = "paper", *, eta_high: float 
     exact eta_high is used unless one is given, to replay a quoted number."""
     _check_variant(variant)
     dec = DemboDecomposition.from_matrix(rho.mat, eta_high=eta_high)
-    return _py(dec.lower), _py(dec.upper_paper if variant == "paper" else dec.upper_quarter)
+    return _py(dec.lower), _py(getattr(dec, "upper_" + variant))
 
 
 class Verdict(str, Enum):

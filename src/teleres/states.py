@@ -231,14 +231,14 @@ def rho1() -> DensityMatrix:
 
 
 def _family_params(name: str, value, family: str) -> np.ndarray:
-    """The parameter, or array of parameters, of a family, once each lies
-    in its interval; the error names the first one that does not."""
+    """The parameter, or array of parameters, of a family, once each lies in its
+    interval; the error names the first one that does not. Sweep specs check here too."""
     lo, hi, open_lo = FAMILIES[family].interval
     p = np.asarray(value, dtype=np.float64)
     ok = ((p > lo) if open_lo else (p >= lo)) & (p <= hi)
     if not ok.all():
         bad = value if p.ndim == 0 else float(p.ravel()[np.argmin(ok.ravel())])
-        raise ValueError(f"{name} = {bad!r} outside {'(' if open_lo else '['}{lo}, {hi}]")
+        raise ValueError(f"{name} = {bad!r} outside {'(' if open_lo else '['}{lo}, {hi}] of {family}")
     return p
 
 

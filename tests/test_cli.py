@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from teleres import NotAState, cli, criteria, linalg, noisy_singlet, rho1, rho3, save_state, states, verdict
+from teleres import NotAState, cli, criteria, linalg, noisy_singlet, oracle, rho1, rho3, save_state, states, verdict
 from teleres.criteria import CriterionReport, Verdict
 from teleres.cli import (
     EXIT_AUDIT,
@@ -239,6 +239,32 @@ def test_csv_columns_format_by_type(tmp_path):
 def test_reproduce_unknown_target_usage_error(tmp_path, capsys):
     assert main(["reproduce", "fig9", "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_reproduce_an_unknown_target_leaves_an_existing_file_unchanged(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"old content\n")
+    with pytest.raises(InvalidSpec, match="unknown reproduce target 'fig4'"):
+        cli.cmd_reproduce("fig4", str(path))
+    assert path.read_bytes() == b"old content\n"
+
+
+@pytest.mark.parametrize("target, header, argv", [
+    ("fig1", b"a,f_opt", ["--family", "sigma", "--from", "0.78", "--to", "1", "--quantities", "f_opt_spa"]),
+    ("fig2", b"a,singlet_fraction",
+     ["--family", "rho2", "--from", "0.35", "--to", "0.369", "--quantities", "singlet_fraction_lower"]),
+    ("fig3", b"a,lambda_max", ["--family", "rho2", "--from", "0.35", "--to", "0.369", "--quantities", "lambda_max"]),
+])
+def test_each_figure_is_its_sweep_under_the_paper_header(tmp_path, monkeypatch, target, header, argv):
+    # 7 * 81 entries: blocks of 7 states at d = 3 and of 35 at d = 2
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep", *argv, "--steps", "200", "-o", str(sweep)]) == EXIT_OK
+    rows = sweep.read_bytes().split(b"\n", 1)[1]
+    for entries in (cli.SWEEP_BLOCK_ENTRIES, 7 * 81):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK_ENTRIES", entries)
+        figure = tmp_path / f"{target}_{entries}.csv"
+        assert main(["reproduce", target, "-o", str(figure)]) == EXIT_OK
+        assert figure.read_bytes() == header + b"\n" + rows
 
 
 def test_all_reproduce_targets_complete_under_ten_seconds(tmp_path):
@@ -553,8 +579,9 @@ def test_audit_zero_trials_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_audit_injected_violation_exit_3(capsys):
-    code = cmd_audit(5, 1, checks=[("always_bad", lambda streams: [-2.0 for _ in streams])])
+def test_audit_injected_violation_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_CHECKS", (("always_bad", lambda streams: [-2.0 for _ in streams]),))
+    code = cmd_audit(5, 1)
     captured = capsys.readouterr()
     assert code == EXIT_AUDIT
     assert "VIOLATED" in captured.out
@@ -562,8 +589,9 @@ def test_audit_injected_violation_exit_3(capsys):
     assert "seed=1" in captured.err
 
 
-def test_audit_nan_margin_exit_3(capsys):
-    code = cmd_audit(3, 1, checks=[("nan", lambda streams: [float("nan") for _ in streams])])
+def test_audit_nan_margin_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "DEFAULT_CHECKS", (("nan", lambda streams: [float("nan") for _ in streams]),))
+    code = cmd_audit(3, 1)
     captured = capsys.readouterr()
     assert code == EXIT_AUDIT
     assert "nan: VIOLATED (3 trials, 3 violations, worst slack nan at trial 0)" in captured.out

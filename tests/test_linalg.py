@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from teleres.linalg import (
     NoConvergence,
     NotHermitian,
     hermitian_eigen,
+    hermiticity_defect,
     trace_product,
 )
 from teleres.oracle import _rng, haar_unitary, random_hermitian, random_psd
@@ -76,6 +79,18 @@ def test_not_hermitian_raises():
     for bad in (np.nan, np.inf):
         with pytest.raises(NotHermitian):
             hermitian_eigen(np.array([[0, bad], [bad, 0]], dtype=complex))
+
+
+def test_entries_near_the_float_maximum_do_not_overflow():
+    # halved before the sum: a Hermitian matrix with entries of 1e308 keeps its
+    # spectrum, and an anti-Hermitian one reads an infinite defect, not NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(hermitian_eigen(np.diag([1e308, 1e308]).astype(complex)), [1e308, 1e308])
+        skew = np.array([[0, 1e308], [-1e308, 0]], dtype=complex)
+        assert hermiticity_defect(skew) == np.inf
+        with pytest.raises(NotHermitian, match="defect inf"):
+            hermitian_eigen(skew)
 
 
 def test_lapack_failure_raises_no_convergence(monkeypatch, rng):

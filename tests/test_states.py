@@ -20,6 +20,7 @@ from teleres import (
     save_state,
     sigma_family,
 )
+from teleres.cli import EXIT_VALIDATION, main
 from teleres.oracle import wootters_concurrence
 from conftest import partial_trace, random_state
 
@@ -44,6 +45,12 @@ def test_validation_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     with pytest.raises(NotAState, match="positive semidefinite"):
         DensityMatrix(m, 2)
+
+
+def test_validation_rejects_a_top_eigenvalue_below_one_over_d_squared():
+    # no state of trace 1 has one, so the caller's spectrum supplies it
+    with pytest.raises(NotAState, match=re.escape("max eigenvalue 0.200000000000 below 1/d^2")):
+        DensityMatrix._with_spectrum(np.eye(4) / 4, 2, np.array([0.1, 0.1, 0.1, 0.2]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -392,6 +399,17 @@ def test_load_rejects_invalid_state(tmp_path):
     p.write_text(json.dumps(doc))
     with pytest.raises(NotAState, match="positive semidefinite"):
         load_state(p)
+
+
+def test_load_rejects_a_top_eigenvalue_above_one(tmp_path, capsys):
+    # diag(1.0001, -0.0001, 0, 0): unit trace, and PSD within the loader's floor of 2e-4
+    p = tmp_path / "doc.json"
+    diag = {0: 1.0001, 5: -0.0001}
+    p.write_text(json.dumps({"d": 2, "entries": [[diag.get(i, 0.0), 0.0] for i in range(16)]}))
+    with pytest.raises(NotAState, match=re.escape("max eigenvalue 1.000100000000 exceeds 1")):
+        load_state(p)
+    assert main(["analyze", str(p)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: max eigenvalue 1.000100000000 exceeds 1\n"
 
 
 def test_every_catalog_state_validates():
