@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 import stat
@@ -67,6 +68,8 @@ class SweepSpec:
             raise InvalidSpec(f"steps and dim must be integers, got {self.steps!r} and {self.dim!r}") from None
         if dim is not None and not 2 <= dim <= MAX_DIM:
             raise InvalidSpec(f"need 2 <= dim <= {MAX_DIM}, got {dim}")
+        if not (isinstance(self.lo, numbers.Real) and isinstance(self.hi, numbers.Real)):
+            raise InvalidSpec(f"lo and hi must be real numbers, got {self.lo!r} and {self.hi!r}")
         if not self.lo < self.hi:
             raise InvalidSpec(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not 2 <= steps <= MAX_STEPS:
@@ -290,14 +293,13 @@ class _UsageError(Exception):
     pass
 
 
-def _int_at_least(low: int, high: float = math.inf):
+def _int_in(low: int, high: int):
     """argparse type: an integer in [low, high]; anything else is a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
         if not low <= value <= high:
-            bound = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid" message
@@ -326,12 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--quantities", required=True, help="comma-separated list")
     p_sw.add_argument("-o", "--output", required=True)
     p_sw.add_argument("--dembo", choices=criteria.DEMBO_VARIANTS, default="paper")
-    p_sw.add_argument("--dim", type=_int_at_least(2, MAX_DIM),
+    p_sw.add_argument("--dim", type=_int_in(2, MAX_DIM),
                       help=f"local dimension for noisy_singlet (default 3), at most {MAX_DIM}")
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
-    p_au.add_argument("--trials", type=_int_at_least(1, MAX_TRIALS), required=True)
-    p_au.add_argument("--seed", type=_int_at_least(0, oracle.SEED_MAX), default=0)
+    p_au.add_argument("--trials", type=_int_in(1, MAX_TRIALS), required=True)
+    p_au.add_argument("--seed", type=_int_in(0, oracle.SEED_MAX), default=0)
 
     return parser
 

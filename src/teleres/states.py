@@ -202,14 +202,9 @@ def sigma_family(b: float, d: float, e: float, f: complex) -> DensityMatrix:
     """Two-qubit state with support on |01>, |10>, |11>.
 
     Diagonal (0, b, d, e) with b + d + e = 1 and a single coherence f
-    between |01> and |10>; positivity requires |f|^2 <= b*d.
+    between |01> and |10>; positivity requires |f|^2 <= b*d. ``DensityMatrix``
+    checks the trace and positivity, as it does for every state.
     """
-    if min(b, d, e) < -1e-12:
-        raise NotAState("diagonal weights must be nonnegative")
-    if abs((b + d + e) - 1.0) > TRACE_TOL:
-        raise NotAState(f"b+d+e = {b + d + e!r}, not 1")
-    if abs(f) ** 2 > b * d + 1e-12:
-        raise NotAState(f"|f|^2 = {abs(f) ** 2:.6g} exceeds b*d = {b * d:.6g}")
     m = np.zeros((4, 4), dtype=np.complex128)
     m[1, 1] = b
     m[1, 2] = f

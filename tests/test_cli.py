@@ -367,6 +367,8 @@ def test_sweep_spec_validation_direct():
     spec = SweepSpec("rho3", 0.5, 0.65, 4, ())
     with pytest.raises(InvalidSpec):
         spec.validate()
+    with pytest.raises(InvalidSpec, match="^unknown family 'nope'$"):
+        SweepSpec("nope", 0.5, 0.65, 4, ("lambda_max",)).validate()
 
 
 # the names each family's sweep accepted before the quantity table: the report
@@ -405,9 +407,23 @@ def test_sweep_spec_checks_dim_and_integer_steps(tmp_path, steps, dim, message):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         cmd_sweep(SweepSpec("noisy_singlet", 0.0, 1.0, steps, ("lambda_max",), dim), str(out))
     assert not out.exists()
-    spec = SweepSpec("noisy_singlet", 0.0, 1.0, np.int64(3), ("lambda_max",), np.int64(cli.MAX_DIM))
+    # numpy ints and floats are integers and real numbers too
+    spec = SweepSpec("noisy_singlet", np.int64(0), np.float64(1.0), np.int64(3), ("lambda_max",),
+                     np.int64(cli.MAX_DIM))
     assert cmd_sweep(spec, str(out)) == EXIT_OK
     assert out.read_text().count("\n") == 4
+
+
+@pytest.mark.parametrize("lo, hi", [("0.5", 0.65), (None, 0.65), (0.5 + 0j, 0.65), ("0.5", "0.65")],
+                         ids=["str", "none", "complex", "str_pair"])
+def test_sweep_spec_rejects_a_range_end_that_is_not_real(tmp_path, lo, hi):
+    # ("0.5", "0.65") compares as strings, and would reach np.linspace
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"old content\n")
+    message = f"lo and hi must be real numbers, got {lo!r} and {hi!r}"
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        cmd_sweep(SweepSpec("rho3", lo, hi, 3, ("lambda_max",)), str(path))
+    assert path.read_bytes() == b"old content\n"
 
 
 def test_sweep_bit_identical(tmp_path):

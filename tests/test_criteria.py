@@ -586,6 +586,16 @@ def test_fef_rejects_qutrits():
         fef_2qubit(noisy_singlet(0.5, 3))
 
 
+@pytest.mark.parametrize("value, message", [
+    (lambda rho: f_opt_locc_pt(rho, FilterOperator(0.5)), "filtered LOCC value is defined for d=2"),
+    (lambda rho: f_opt_locc_spa(rho, FilterOperator(0.5)), "filtered LOCC value is defined for d=2"),
+    (optimize_filter, "filter optimization is defined for d=2"),
+], ids=["f_opt_locc_pt", "f_opt_locc_spa", "optimize_filter"])
+def test_filter_values_reject_qutrits(value, message):
+    with pytest.raises(DimensionUnsupported, match=f"^{message}$"):
+        value(noisy_singlet(0.5, 3))
+
+
 def test_lambda_max_dominates_singlet_fraction():
     basis = qutrit_me_basis()
     for i in range(100):
@@ -611,6 +621,8 @@ def test_fidelity_from_fraction():
         fidelity_from_fraction(1.2, 2)
     with pytest.raises(ValueError):
         fidelity_from_fraction(-0.1, 2)
+    with pytest.raises(ValueError, match="local dimension must be >= 2, got 1"):
+        fidelity_from_fraction(0.5, 1)
 
 
 # ---- Dembo bounds ----
@@ -708,6 +720,11 @@ def test_dembo_diagonal_matrix():
     assert upper_q == pytest.approx(max(0.4, 0.3), abs=1e-15)
     assert upper_p == pytest.approx(0.35 + 0.1 / S2, abs=1e-15)
     assert lower == pytest.approx(max(0.4, 0.1), abs=1e-15)
+
+
+def test_dembo_split_rejects_a_1x1_matrix():
+    with pytest.raises(ValueError, match="Dembo split needs dim >= 2"):
+        DemboDecomposition.from_matrix(np.ones((1, 1)))
 
 
 def test_dembo_rejects_unknown_variant():

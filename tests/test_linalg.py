@@ -121,6 +121,8 @@ def test_trace_product_matches_matmul(rng):
 def test_trace_product_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         trace_product(np.eye(2), np.eye(3))
+    with pytest.raises(DimensionMismatch, match=r"got shape \(2, 3\)"):
+        trace_product(np.ones((2, 3)), np.eye(2))
 
 
 def test_trace_sandwich_1000_trials():

@@ -501,19 +501,27 @@ def test_each_name_alone_writes_its_column_of_the_full_sweep(tmp_path, dembo):
             assert alone.read_text() == want, (family, extra, name)
 
 
-@pytest.mark.parametrize("quantities, solved", [
-    ("lambda_max", [(7, 9, 9)]),  # validation's solve only
-    ("is_npt", [(7, 9, 9), (7, 9, 9)]),  # and the partial transposes
-    ("dembo_upper_quarter,lambda_max", [(7, 8, 8), (7, 9, 9)]),  # and the R_sub blocks
-    ("singlet_fraction_lower", [(7, 9, 9)]),  # the qutrit basis overlap solves nothing
+@pytest.mark.parametrize("family, quantities, solved", [
+    pytest.param("rho3", "lambda_max", [(7, 9, 9)], id="lambda_max-solved0"),  # validation's solve only
+    pytest.param("rho3", "is_npt", [(7, 9, 9), (7, 9, 9)], id="is_npt-solved1"),  # and the partial transposes
+    pytest.param("rho3", "dembo_upper_quarter,lambda_max", [(7, 8, 8), (7, 9, 9)],
+                 id="dembo_upper_quarter,lambda_max-solved2"),  # and the R_sub blocks
+    pytest.param("rho3", "singlet_fraction_lower", [(7, 9, 9)],
+                 id="singlet_fraction_lower-solved3"),  # the qutrit basis overlap solves nothing
+    # at d = 2 the singlet fraction is the FEF, one magic-basis solve more
+    pytest.param("noisy_singlet", "singlet_fraction_lower", [(7, 4, 4), (7, 4, 4)], id="d2-singlet_fraction_lower"),
+    pytest.param("noisy_singlet", sweep_quantities("noisy_singlet"), [(7, 3, 3), (7, 4, 4), (7, 4, 4), (7, 4, 4)],
+                 id="d2-report"),
 ])
-def test_a_sweep_solves_only_what_its_quantities_need(tmp_path, monkeypatch, quantities, solved):
+def test_a_sweep_solves_only_what_its_quantities_need(tmp_path, monkeypatch, family, quantities, solved):
     sizes = []
     lapack = linalg._eigvalsh
     monkeypatch.setattr(linalg, "_eigvalsh", lambda m: sizes.append(np.shape(m)) or lapack(m))
-    monkeypatch.setattr(cli, "SWEEP_BLOCK_ENTRIES", 7 * 81)  # 3 blocks of 7 states
-    argv = ["sweep", "--family", "rho3", "--from", "0.5", "--to", "0.65", "--steps", "21",
-            "--quantities", quantities, "-o", str(tmp_path / "rho3.csv")]
+    fixed_d, (lo, hi, _) = states.FAMILIES[family].d, states.FAMILIES[family].interval
+    extra = [] if fixed_d else ["--dim", "2"]
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ENTRIES", 7 * (fixed_d or 2) ** 4)  # 3 blocks of 7 states
+    argv = ["sweep", "--family", family, "--from", str(lo), "--to", str(hi), *extra, "--steps", "21",
+            "--quantities", quantities, "-o", str(tmp_path / "out.csv")]
     assert cli.main(argv) == cli.EXIT_OK
     assert sorted(sizes) == sorted(solved * 3)
 

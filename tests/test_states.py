@@ -7,6 +7,7 @@ import pytest
 
 from teleres import (
     DensityMatrix,
+    MaximallyEntangledVector,
     NotAState,
     ParseError,
     load_state,
@@ -114,6 +115,17 @@ def test_phi_plus_d3_support():
     np.testing.assert_allclose(v[nz], 1 / math.sqrt(3))
 
 
+@pytest.mark.parametrize("vec, message", [
+    (np.eye(2), "expected a 1-D amplitude vector"),
+    (np.ones(6) / math.sqrt(6), "vector of length 6 is not bipartite d x d"),
+    (2 * phi_plus(2).vec, "norm is 2.000000000000000, not 1"),
+    (np.array([1.0, 0.0, 0.0, 0.0]), "one-sided reduction is not maximally mixed"),  # |00>
+], ids=["2d", "length_6", "norm_2", "product"])
+def test_maximally_entangled_vector_rejects(vec, message):
+    with pytest.raises(NotAState, match=f"^{re.escape(message)}$"):
+        MaximallyEntangledVector(vec)
+
+
 def test_phi_plus_reductions_maximally_mixed():
     proj = phi_plus(3).projector()
     np.testing.assert_allclose(partial_trace(proj, 3, "first"), np.eye(3) / 3, atol=1e-12)
@@ -186,12 +198,15 @@ def test_sigma_concurrence_equals_2f(rng):
 
 
 def test_sigma_rejects_invalid():
-    with pytest.raises(NotAState):
+    # DensityMatrix is the one gate, so each message is the one any state gets
+    with pytest.raises(NotAState, match=re.escape("trace is 1.100000000000000, not 1")):
         sigma_family(0.5, 0.4, 0.2, 0.0)  # sums to 1.1
-    with pytest.raises(NotAState):
+    with pytest.raises(NotAState, match=re.escape("not positive semidefinite: min eigenvalue -3.000e-01")):
         sigma_family(0.2, 0.2, 0.6, 0.5)  # |f|^2 > b*d
-    with pytest.raises(NotAState):
+    with pytest.raises(NotAState, match=re.escape("not positive semidefinite: min eigenvalue -1.000e-01")):
         sigma_family(-0.1, 0.5, 0.6, 0.0)
+    with pytest.raises(NotAState, match=re.escape("matrix has a non-finite entry (NaN or inf)")):
+        sigma_family(math.nan, 0.5, 0.5, 0.0)
 
 
 # ---- rho1 ----
@@ -367,6 +382,9 @@ def test_load_rejects_wrong_schema(tmp_path):
         load_state(p)
     p.write_text(json.dumps({"d": 2, "entries": [["x", 0.0]] * 16}))
     with pytest.raises(ParseError):
+        load_state(p)
+    p.write_text(json.dumps({"d": 2, "entries": [[0.25, 0.0, 0.0]] * 16}))  # [re, im, x] triples
+    with pytest.raises(ParseError, match=re.escape("got shape (16, 3)")):
         load_state(p)
 
 
