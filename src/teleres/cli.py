@@ -57,7 +57,7 @@ class SweepSpec:
     dim: int | None = None  # the local dimension of a family without a fixed one
 
     def validate(self) -> None:
-        if self.family not in states.FAMILIES:
+        if not isinstance(self.family, str) or self.family not in states.FAMILIES:
             raise InvalidSpec(f"unknown family {self.family!r}")
         fixed_d = states.FAMILIES[self.family].d
         if self.dim is not None and fixed_d is not None:
@@ -78,10 +78,10 @@ class SweepSpec:
             states._family_params("range end", (self.lo, self.hi), self.family)
         except ValueError as exc:
             raise InvalidSpec(str(exc)) from None
-        if not self.quantities:
-            raise InvalidSpec("quantity list is empty")
+        if isinstance(self.quantities, str) or not self.quantities:
+            raise InvalidSpec(f"quantities must be a non-empty sequence of names, got {self.quantities!r}")
         for q in self.quantities:
-            sweeps = criteria.QUANTITIES[q][1] if q in criteria.QUANTITIES else ()
+            sweeps = criteria.QUANTITIES[q][1] if isinstance(q, str) and q in criteria.QUANTITIES else ()
             if not (sweeps is None or self.family in sweeps):
                 raise InvalidSpec(f"unknown quantity {q!r} for family {self.family!r}")
 
@@ -140,10 +140,7 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     rho = load_state(path)
     report = verdict(rho, dembo_variant)
     if as_json:
-        doc = {**vars(report), "verdict": report.verdict.value}
-        # json.dumps(doc, indent=2) byte for byte by json's C encoder, which indent= turns off;
-        # that holds only for a flat doc, so a list or dict value must revisit this layout
-        print("{\n  " + json.dumps(doc, separators=(",\n  ", ": "))[1:-1] + "\n}")
+        print(json.dumps({**vars(report), "verdict": report.verdict.value}, indent=2))
         return EXIT_OK
 
     def g4(x: float) -> str:
@@ -249,7 +246,7 @@ def _sweep_blocks(spec: SweepSpec, dembo_variant: str):
 def cmd_reproduce(target: str, out_path: str) -> int:
     """Write a paper figure or worked example as CSV. A figure is the sweep
     ``FIGURES`` names for it, under the paper's header."""
-    if target in FIGURES:
+    if isinstance(target, str) and target in FIGURES:  # any other target is named unknown below
         spec, header = FIGURES[target]
         _write_csv(out_path, header, _sweep_blocks(spec, "paper"))
     else:

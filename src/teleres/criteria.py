@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DimensionMismatch, hermiticity_defect, trace_product
-from .states import DensityMatrix, MaximallyEntangledVector, phi_plus, qutrit_me_basis
+from .states import DensityMatrix, MaximallyEntangledVector, _check_local_dim, phi_plus, qutrit_me_basis
 
 __all__ = [
     "DimensionUnsupported",
@@ -272,8 +272,7 @@ def fidelity_from_fraction(fraction: float, d: int) -> float:
     f = np.asarray(fraction)
     if not ((-1e-12 <= f) & (f <= 1.0 + 1e-12)).all():  # NaN fails; an empty stack passes
         raise ValueError(f"singlet fraction {fraction!r} outside [0, 1]")
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    _check_local_dim(d)
     return _py((d * f + 1.0) / (d + 1.0))
 
 

@@ -86,7 +86,8 @@ class DensityMatrix:
     def _validate(self, mat, d: int | None, spectrum: np.ndarray | None, psd_tol: float) -> None:
         """Check shape, entry size, Hermiticity, trace and spectrum of all
         members at once; the error is the first failing member's first
-        failing check.
+        failing check. No member from the first unbounded one onward is
+        checked further; the members before it are validated alone first.
 
         This is the package's one Hermiticity gate: the spectrum is solved
         from the symmetrised stack, or from the stack itself when every
@@ -101,27 +102,25 @@ class DensityMatrix:
             raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
         # one state is a stack of one; every quantity is per member, taken one block at a time
         stack = m.reshape(-1, n, n)
-        big, defect = np.empty(len(stack)), np.empty(len(stack))
-        unbounded = False
+        defect = np.empty(len(stack))
         step = max(1, _BLOCK_ENTRIES // (n * n))
         for s in range(0, len(stack), step):
             block = stack[s : s + step]
-            block_big = np.maximum.reduce(np.abs(block.view(np.float64)), axis=(1, 2), out=big[s : s + step])
-            if not block_big.max() <= ENTRY_BOUND:  # NaN, inf: check and solve such members as zero
-                unbounded = True
-                block = np.where((block_big <= ENTRY_BOUND)[:, None, None], block, 0.0)
+            big = np.maximum.reduce(np.abs(block.view(np.float64)), axis=(1, 2))
+            if not big.max() <= ENTRY_BOUND:  # NaN, inf or too large: no arithmetic on this member or after it
+                j = s + int(np.argmin(big <= ENTRY_BOUND))
+                self._validate(stack[:j], d, None if spectrum is None else spectrum.reshape(-1, n)[:j], psd_tol)
+                raise NotAState("matrix has a non-finite entry (NaN or inf)" if not math.isfinite(big[j - s])
+                                else f"an entry has a part of {big[j - s]:.3e}; a state's entries are at most 1")
             np.maximum.reduce(np.abs(block - block.conj().swapaxes(1, 2)), axis=(1, 2), out=defect[s : s + step])
-        bounded = big <= ENTRY_BOUND
-        safe = np.where(bounded[:, None, None], stack, 0.0) if unbounded else stack
-        tr = safe.trace(axis1=1, axis2=2)
+        tr = stack.trace(axis1=1, axis2=2)
         if spectrum is None:
             # eigvalsh reads one triangle only; symmetrise so both halves count.
             # With no defect in any member, 0.5 * (a + a^H) is a itself, bit for bit
-            hermitian = safe if not defect.any() else 0.5 * (safe + safe.conj().swapaxes(1, 2))
+            hermitian = stack if not defect.any() else 0.5 * (stack + stack.conj().swapaxes(1, 2))
             spectrum = linalg._eigvalsh(hermitian.reshape(m.shape))
         lam = spectrum.reshape(-1, n)
         failed = np.array((
-            ~bounded,
             defect > linalg.HERMITIAN_TOL,
             abs(tr - 1.0) > TRACE_TOL,
             lam[:, 0] < -psd_tol,
@@ -131,9 +130,6 @@ class DensityMatrix:
         if failed.any():
             i = int(failed.any(axis=0).argmax())
             raise NotAState((
-                "matrix has a non-finite entry (NaN or inf)"
-                if not np.isfinite(stack[i]).all()
-                else f"an entry has a part of {big[i]:.3e}; a state's entries are at most 1",
                 f"not Hermitian: defect {defect[i]:.3e}",
                 f"trace is {tr[i].real:.15f}, not 1",
                 f"not positive semidefinite: min eigenvalue {lam[i, 0]:.3e}",
@@ -188,11 +184,18 @@ class MaximallyEntangledVector:
         return np.outer(self.vec, self.vec.conj())
 
 
+def _check_local_dim(d) -> None:
+    """Raise ValueError unless ``d`` is a Python or numpy integer of at least 2."""
+    if not isinstance(d, (int, np.integer)):
+        raise ValueError(f"local dimension must be an integer, got {d!r}")
+    if d < 2:
+        raise ValueError(f"local dimension must be >= 2, got {d}")
+
+
 @functools.cache
 def phi_plus(d: int) -> MaximallyEntangledVector:
     """(1/sqrt(d)) sum_i |ii>, built and validated once per d and shared by every caller."""
-    if d < 2:
-        raise ValueError(f"local dimension must be >= 2, got {d}")
+    _check_local_dim(d)
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / math.sqrt(d)
     return MaximallyEntangledVector(v)

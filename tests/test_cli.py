@@ -244,9 +244,10 @@ def test_reproduce_unknown_target_usage_error(tmp_path, capsys):
 def test_reproduce_an_unknown_target_leaves_an_existing_file_unchanged(tmp_path):
     path = tmp_path / "old.csv"
     path.write_bytes(b"old content\n")
-    with pytest.raises(InvalidSpec, match="unknown reproduce target 'fig4'"):
-        cli.cmd_reproduce("fig4", str(path))
-    assert path.read_bytes() == b"old content\n"
+    for target in ("fig4", ["fig1"]):  # a list is not hashed: it is named like any unknown target
+        with pytest.raises(InvalidSpec, match=re.escape(f"unknown reproduce target {target!r}")):
+            cli.cmd_reproduce(target, str(path))
+        assert path.read_bytes() == b"old content\n"
 
 
 @pytest.mark.parametrize("target, header, argv", [
@@ -423,6 +424,20 @@ def test_sweep_spec_rejects_a_range_end_that_is_not_real(tmp_path, lo, hi):
     message = f"lo and hi must be real numbers, got {lo!r} and {hi!r}"
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         cmd_sweep(SweepSpec("rho3", lo, hi, 3, ("lambda_max",)), str(path))
+    assert path.read_bytes() == b"old content\n"
+
+
+@pytest.mark.parametrize("family, quantities, message", [
+    (["rho3"], ("lambda_max",), "unknown family ['rho3']"),
+    ("rho3", (["lambda_max"],), "unknown quantity ['lambda_max'] for family 'rho3'"),
+    ("rho3", "lambda_max", "quantities must be a non-empty sequence of names, got 'lambda_max'"),
+], ids=["family_list", "quantity_list", "quantities_string"])
+def test_sweep_spec_names_a_bad_family_or_quantity(tmp_path, family, quantities, message):
+    # a list used to raise a bare TypeError, and one string was read letter by letter
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"old content\n")
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        cmd_sweep(SweepSpec(family, 0.5, 0.65, 3, quantities), str(path))
     assert path.read_bytes() == b"old content\n"
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -623,6 +624,10 @@ def test_fidelity_from_fraction():
         fidelity_from_fraction(-0.1, 2)
     with pytest.raises(ValueError, match="local dimension must be >= 2, got 1"):
         fidelity_from_fraction(0.5, 1)
+    for d in (2.5, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"local dimension must be an integer, got {d!r}")):
+            fidelity_from_fraction(0.5, d)
+    assert fidelity_from_fraction(0.5, np.int64(3)) == fidelity_from_fraction(0.5, 3)
 
 
 # ---- Dembo bounds ----

@@ -209,6 +209,23 @@ def test_rho_alpha_bytes_equal_the_broadcast_expression(alpha):
     assert rho_alpha(alpha).mat.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("d, j, size, bad", [
+    (2, 5, 40, "nan"),  # in the first block of 256 members
+    (4, 37, 40, "big"),  # in the third block of 16
+    (3, 0, 1, "nan"),  # the one member of a stack of one
+], ids=["first_block", "later_block", "stack_of_one"])
+def test_no_member_from_the_first_unbounded_one_onward_is_solved(monkeypatch, d, j, size, bad):
+    mats = _blocked_stack(d)[:size].copy()
+    _break(mats[j], bad)
+    mats[j + 1 :, 0, 0] = np.inf  # every later member is unbounded too
+    solved = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: solved.append(m.shape) or lapack(m))
+    with pytest.raises(NotAState, match=_BAD_MESSAGES[bad]):
+        DensityMatrix(mats, d)
+    assert solved == [(j, d * d, d * d)]
+
+
 def _scalar_message(mat, d):
     with pytest.raises(NotAState) as info:
         DensityMatrix(mat, d)

@@ -137,6 +137,20 @@ def test_phi_plus_rejects_small_d():
         phi_plus(1)
 
 
+@pytest.mark.parametrize("d", [2.5, "3"])
+def test_a_local_dimension_that_is_not_an_integer_is_named(d):
+    message = re.escape(f"local dimension must be an integer, got {d!r}")
+    with pytest.raises(ValueError, match=message):
+        phi_plus(d)
+    with pytest.raises(ValueError, match=message):
+        noisy_singlet(0.5, d)
+
+
+def test_a_numpy_integer_is_a_local_dimension():
+    assert phi_plus(np.int64(3)).vec.tobytes() == phi_plus(3).vec.tobytes()
+    assert noisy_singlet(0.5, np.int64(3)).mat.tobytes() == noisy_singlet(0.5, 3).mat.tobytes()
+
+
 def test_phi_plus_is_built_once_per_d_and_errors_are_not_cached():
     assert phi_plus(3) is phi_plus(3)
     assert phi_plus(2) is not phi_plus(3)
