@@ -105,7 +105,8 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
     from the type of each column's first value in the first block:
     true/false for bools, 12 significant digits for floats, str for
     anything else. If drawing or writing a block raises, the file is
-    removed, even one that existed before, and the exception propagates.
+    removed, even one that existed before, or through a link to one
+    (``/dev/stdout`` too) cut to zero length, and the exception propagates.
 
     An existing file is overwritten in place and then cut to the length
     written, not truncated on open: a truncate frees the old blocks and the
@@ -131,7 +132,9 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
                 fh.truncate()  # drop the old file's tail, if it was longer
         except BaseException:
             fh.close()
-            if os.path.isfile(path) and not os.path.islink(path):  # never a device or /dev/stdout
+            if os.path.isfile(path) and os.path.islink(path):  # keep the link, empty its target
+                os.truncate(path, 0)
+            elif os.path.isfile(path):  # never a device or a FIFO
                 os.remove(path)
             raise
 
@@ -142,21 +145,17 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     if as_json:
         print(json.dumps({**vars(report), "verdict": report.verdict.value}, indent=2))
         return EXIT_OK
-
-    def g4(x: float) -> str:
-        return format(x, ".4g")
-
     print(f"state: d={report.d} ({rho.dim}x{rho.dim})")
     print(f"npt: {'yes' if report.is_npt else 'no'}")
-    print(f"lambda_max: {g4(report.lambda_max)}")
+    print(f"lambda_max: {report.lambda_max:.4g}")
     print(
         "dembo lower / upper(paper) / upper(quarter): "
-        f"{g4(report.dembo_lower)} / {g4(report.dembo_upper_paper)} / {g4(report.dembo_upper_quarter)}"
+        f"{report.dembo_lower:.4g} / {report.dembo_upper_paper:.4g} / {report.dembo_upper_quarter:.4g}"
     )
-    print(f"singlet fraction lower bound: {g4(report.singlet_fraction_lower)}")
+    print(f"singlet fraction lower bound: {report.singlet_fraction_lower:.4g}")
     if report.f_opt_locc is not None:
-        print(f"filtered LOCC value (best diag filter): {g4(report.f_opt_locc)}")
-    print(f"teleportation fidelity upper bound: {g4(report.fidelity_upper)}")
+        print(f"filtered LOCC value (best diag filter): {report.f_opt_locc:.4g}")
+    print(f"teleportation fidelity upper bound: {report.fidelity_upper:.4g}")
     print(f"verdict: {report.verdict.value} (dembo variant: {report.dembo_variant})")
     return EXIT_OK
 

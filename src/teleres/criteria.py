@@ -343,7 +343,8 @@ def dembo_bounds(rho: DensityMatrix, variant: str = "paper", *, eta_high: float 
 
 
 class Verdict(str, Enum):
-    # in the order verdict() tries the rules
+    """The labels of ``verdict``, in the order it tries their rules."""
+
     USEFUL_BY_LAMBDA_MAX = "UsefulByLambdaMax"
     USEFUL_BY_DEMBO = "UsefulByDembo"
     USEFUL_BY_SINGLET_FRACTION = "UsefulBySingletFraction"
@@ -442,11 +443,15 @@ def verdict(rho: DensityMatrix, dembo_variant: str = "paper") -> CriterionReport
 
     NPT with lam_max > 1/d is useful outright; otherwise an NPT state is
     useful when the selected Dembo upper bound clears 1/d, or when the
-    singlet-fraction lower bound does. A state is reported separable only
-    when it is confidently PPT and lam_max <= 1/d; everything else is
-    inconclusive. A stack of states gives a list with one report per
-    member, each equal to the report of that member alone. The reports
-    are the rows of the columns a sweep writes, so both share one path.
+    singlet-fraction lower bound does. Confidently PPT with lam_max <= 1/d
+    is SeparableByTheorem2: not useful, even after LOCC (Rains, PRA 60, 179
+    (1999)), but not certified separable, since at d >= 3 a PPT state can
+    be entangled (P. Horodecki, PLA 232, 333 (1997)). Everything else is
+    inconclusive. ``fidelity_upper`` bounds the standard protocol after
+    local unitaries, not after one-way LOCC. A stack of states gives a
+    list with one report per member, each equal to the report of that
+    member alone. The reports are the rows of the columns a sweep writes,
+    so both share one path.
     """
     columns = _columns(rho, _REPORT_FIELDS, dembo_variant)
     reports = [CriterionReport(rho.d, *row, dembo_variant) for row in zip(*columns)]

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from typing import Callable, NamedTuple
 
@@ -63,7 +64,9 @@ class DensityMatrix:
     ``spectrum`` the ascending eigenvalues computed at validation time.
     A (k, n, n) ``mat`` is a stack of k states of one family, validated in
     one pass; ``spectrum`` is then (k, n), and every criterion taking a
-    state takes the stack and gives one value per member.
+    state takes the stack and gives one value per member. A C-contiguous
+    complex128 ``mat`` is kept, not copied, and made read-only in the
+    caller's hands too; any other input is copied.
     """
 
     __slots__ = ("mat", "d", "spectrum")
@@ -192,10 +195,14 @@ def _check_local_dim(d) -> None:
         raise ValueError(f"local dimension must be >= 2, got {d}")
 
 
-@functools.cache
 def phi_plus(d: int) -> MaximallyEntangledVector:
     """(1/sqrt(d)) sum_i |ii>, built and validated once per d and shared by every caller."""
     _check_local_dim(d)
+    return _phi_plus(operator.index(d))
+
+
+@functools.cache  # keyed on a Python int: a numpy integer would key apart from its equal int
+def _phi_plus(d: int) -> MaximallyEntangledVector:
     v = np.zeros(d * d, dtype=np.complex128)
     v[:: d + 1] = 1.0 / math.sqrt(d)
     return MaximallyEntangledVector(v)

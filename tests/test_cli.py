@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -518,6 +519,42 @@ def test_a_failing_block_removes_an_existing_file(tmp_path):
     with pytest.raises(NotAState, match="injected"):
         cli._write_csv(str(path), ["param", "is_npt"], blocks())
     assert not path.exists()
+
+
+def _failing_blocks():
+    yield [np.array([0.5, 0.6]), [True, False]]
+    raise NotAState("injected failure in the second block")
+
+
+def test_a_failing_block_through_a_symlink_empties_the_target_and_keeps_the_link(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old content\n" * 5000)
+    link.symlink_to(target)
+    with pytest.raises(NotAState, match="injected"):
+        cli._write_csv(str(link), ["param", "is_npt"], _failing_blocks())
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == b""
+    with pytest.raises(NotAState, match="injected"):
+        cli._write_csv(os.devnull, ["param", "is_npt"], _failing_blocks())
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+@pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="/dev/stdout is not a link here")
+def test_a_failing_block_through_dev_stdout_empties_the_redirected_file(tmp_path):
+    out = tmp_path / "stdout.csv"
+    out.write_text("old content\n" * 5000)
+    code = (
+        "import numpy as np\n"
+        "from teleres import NotAState, cli\n"
+        "def blocks():\n"
+        "    yield [np.array([0.5, 0.6]), [True, False]]\n"
+        "    raise NotAState('injected failure in the second block')\n"
+        "cli._write_csv('/dev/stdout', ['param', 'is_npt'], blocks())\n"
+    )
+    with open(out, "wb") as fh:
+        proc = subprocess.run([sys.executable, "-c", code], stdout=fh, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1 and "injected" in proc.stderr
+    assert out.read_bytes() == b""
 
 
 def test_usage_errors_leave_an_existing_file_unchanged(tmp_path, capsys):

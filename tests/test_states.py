@@ -151,6 +151,11 @@ def test_a_numpy_integer_is_a_local_dimension():
     assert noisy_singlet(0.5, np.int64(3)).mat.tobytes() == noisy_singlet(0.5, 3).mat.tobytes()
 
 
+def test_a_numpy_integer_shares_the_cached_phi_plus():
+    assert phi_plus(np.int64(3)) is phi_plus(3)
+    assert noisy_singlet(0.5, np.int64(3)).mat.tobytes() == noisy_singlet(0.5, 3).mat.tobytes()
+
+
 def test_phi_plus_is_built_once_per_d_and_errors_are_not_cached():
     assert phi_plus(3) is phi_plus(3)
     assert phi_plus(2) is not phi_plus(3)
@@ -457,3 +462,14 @@ def test_every_catalog_state_validates():
     for rho in states:
         assert isinstance(rho, DensityMatrix)
         assert abs(np.trace(rho.mat) - 1) < 1e-12
+
+
+def test_a_complex128_matrix_is_kept_read_only_and_any_other_is_copied():
+    m = rho1().mat.copy()
+    assert DensityMatrix(m).mat is m
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 0] = 1
+    real = np.eye(4) / 4
+    rho = DensityMatrix(real)
+    assert not np.shares_memory(rho.mat, real) and not rho.mat.flags.writeable
+    real[0, 0] = 1  # the caller's array stays writable
