@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import criteria, oracle, states
-from .criteria import (FilterOperator, f_opt_locc_spa, fef_2qubit, max_eigenvalue, sigma_spa_threshold, spa_pt,
-                       verdict, x_opt)
+from .criteria import FilterOperator, f_opt_locc_spa, fef_2qubit, max_eigenvalue, sigma_spa_threshold, verdict, x_opt
 from .linalg import trace_product
 from .states import NotAState, ParseError, load_state, rho1, rho3, rho_alpha
 
@@ -98,41 +97,65 @@ REPRODUCE_TARGETS = (*FIGURES, "ex_sigma1", "ex_rho1", "ex_rho3", "ex_rho_alpha"
 
 def _write_csv(path: str, header: list[str], blocks) -> None:
     """Write ``header``, then the rows of each block in turn; a block is a
-    list of equal-length columns (arrays or lists), and each is written
-    before the next is drawn.
+    list of columns (arrays or lists), and each is written before the next
+    is drawn. A column of one value beside longer ones holds that value on
+    every row of its block.
 
     Every row of the file is formatted by one ``str.format`` template, built
     from the type of each column's first value in the first block:
     true/false for bools, 12 significant digits for floats, str for
-    anything else. If drawing or writing a block raises, the file is
-    removed, even one that existed before, or through a link to one
-    (``/dev/stdout`` too) cut to zero length, and the exception propagates.
+    anything else; a one-value column is formatted into the template once
+    per block, not on every row. If drawing or writing a block raises, the
+    file is removed, even one that existed before, or through a link to one
+    cut to zero length, and the exception propagates.
 
     An existing file is overwritten in place and then cut to the length
     written, not truncated on open: a truncate frees the old blocks and the
     rewrite allocates new ones, which on ext4 costs several times as much as
     writing over them. Only a regular file is cut; a device or a FIFO
-    (``/dev/stdout``, ``/dev/null``) is written as a stream. A run killed
-    part way leaves the new rows written so far, followed by the old file's
-    tail where the old file was longer.
+    (``/dev/stdout`` on a terminal or a pipe, ``/dev/null``) is written as a
+    stream. A run killed part way leaves the new rows written so far,
+    followed by the old file's tail where the old file was longer.
+
+    The regular file that stdout writes to (``-o /dev/stdout >> log``) is
+    written through stdout's own descriptor, at its offset and in its
+    append mode, and not cut, so it keeps what it held; a failure cuts it
+    back to the length it had before the write.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    st = os.fstat(fd)
+    try:
+        to_stdout = stat.S_ISREG(st.st_mode) and fd != 1 and os.path.samestat(st, os.fstat(1))
+    except OSError:  # no stdout
+        to_stdout = False
+    if to_stdout:  # fd now shares stdout's open file: its offset and its append mode
+        os.dup2(1, fd)
     with open(fd, "w", encoding="utf-8", newline="\n") as fh:
         try:
             fh.write(",".join(header) + "\n")
-            template = None
+            formats = None
             for block in blocks:
                 columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-                if template is None:
+                if formats is None:
                     flags = [isinstance(c[0], bool) for c in columns]
-                    template = ",".join("{:.12g}" if isinstance(c[0], float) else "{}" for c in columns) + "\n"
-                columns = [map(("false", "true").__getitem__, c) if flag else c for flag, c in zip(flags, columns)]
-                fh.write("".join(map(template.format, *columns)))
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+                    formats = ["{:.12g}" if isinstance(c[0], float) else "{}" for c in columns]
+                rows = max(map(len, columns))
+                cells, varying = [], []
+                for flag, fmt, c in zip(flags, formats, columns):
+                    text = map(("false", "true").__getitem__, c) if flag else c
+                    if len(c) == 1 < rows:  # one value for every row: into the template, escaped for format
+                        cells.append(fmt.format(*text).replace("{", "{{").replace("}", "}}"))
+                    else:
+                        cells.append(fmt)
+                        varying.append(text)
+                fh.write("".join(map((",".join(cells) + "\n").format, *varying)))
+            if stat.S_ISREG(st.st_mode) and not to_stdout:
                 fh.truncate()  # drop the old file's tail, if it was longer
         except BaseException:
             fh.close()
-            if os.path.isfile(path) and os.path.islink(path):  # keep the link, empty its target
+            if to_stdout:  # back to what stdout's file held before this write
+                os.truncate(path, st.st_size)
+            elif os.path.isfile(path) and os.path.islink(path):  # keep the link, empty its target
                 os.truncate(path, 0)
             elif os.path.isfile(path):  # never a device or a FIFO
                 os.remove(path)
@@ -170,10 +193,12 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
 
     if target == "ex_sigma1":
         sig = states.FAMILIES["sigma"].build(None, 2)
+        f_078, f_1 = f_opt_locc_spa(sig, FilterOperator(np.array([0.78, 1.0]))).tolist()
+        spa = criteria._spa_matrix(sig)  # derived from a validated state: not validated again
         rows = [
-            row("trace_xopt_spa_a1_x18", 4.9, 18.0 * trace_product(x_opt(FilterOperator(1.0)), spa_pt(sig).mat).real),
-            row("f_opt_spa_a0.78", 0.4966, f_opt_locc_spa(sig, FilterOperator(0.78)), 1e-4),
-            row("f_opt_spa_a1", 0.05, f_opt_locc_spa(sig, FilterOperator(1.0)), 1e-4),
+            row("trace_xopt_spa_a1_x18", 4.9, 18.0 * trace_product(x_opt(FilterOperator(1.0)), spa).real),
+            row("f_opt_spa_a0.78", 0.4966, f_078, 1e-4),
+            row("f_opt_spa_a1", 0.05, f_1, 1e-4),
             row("filter_threshold", 0.7781, sigma_spa_threshold(0.25, 0.4), 1e-4),
             row("concurrence", 2.0 * abs(0.25 + 0.1j), oracle.wootters_concurrence(sig), 1e-9),
         ]
@@ -236,7 +261,6 @@ def _sweep_blocks(spec: SweepSpec, dembo_variant: str):
 
     def columns(block: np.ndarray) -> list:
         cols = criteria._columns(family.build(block, d), spec.quantities, dembo_variant, block)
-        cols = [c * (len(block) // len(c)) for c in cols]  # sigma's one state: its values repeat over the block
         return [block, *([v.value for v in c] if q == "verdict" else c for q, c in zip(spec.quantities, cols))]
 
     return (columns(params[i : i + size]) for i in range(0, spec.steps, size))

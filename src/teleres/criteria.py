@@ -117,11 +117,17 @@ def spa_pt(rho: DensityMatrix) -> DensityMatrix:
     makes the map completely positive and its output a state; d^3 + 1 is
     the trace of rho^Gamma + d I. Off-diagonal entries are rho^Gamma's, divided.
     """
+    return DensityMatrix(_spa_matrix(rho), rho.d)
+
+
+def _spa_matrix(rho: DensityMatrix) -> np.ndarray:
+    """The matrix of :func:`spa_pt`: derived from a validated state, so the
+    criteria that only read it do not validate it again."""
     d = rho.d
     m = partial_transpose(rho)
     np.einsum("...ii->...i", m)[...] += d  # a writable view of each diagonal
     m /= d**3 + 1
-    return DensityMatrix(m, d)
+    return m
 
 
 spa_pt_2qubit = spa_pt  # the benchmark traces the map as criteria.spa_pt_2qubit
@@ -160,7 +166,7 @@ def spa_trace_identity(x: np.ndarray, rho: DensityMatrix) -> float | np.ndarray:
     """
     if not np.max(hermiticity_defect(x), initial=0.0) <= linalg.HERMITIAN_TOL:  # NaN fails too
         raise ValueError("X must be Hermitian")
-    return (rho.d**3 + 1) * trace_product(x, spa_pt(rho).mat).real - rho.d
+    return (rho.d**3 + 1) * trace_product(x, _spa_matrix(rho)).real - rho.d
 
 
 def f_opt_locc_pt(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool = False) -> float:
@@ -183,7 +189,7 @@ def f_opt_locc_spa(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool
     if rho.d != 2:
         raise DimensionUnsupported("filtered LOCC value is defined for d=2")
     x = x_opt(filt, unit_trace=unit_trace)
-    return _py(2.5 - 9.0 * trace_product(x, spa_pt(rho).mat).real)
+    return _py(2.5 - 9.0 * trace_product(x, _spa_matrix(rho)).real)
 
 
 def sigma_spa_threshold(re_f: float, e: float) -> float:

@@ -66,7 +66,8 @@ class DensityMatrix:
     one pass; ``spectrum`` is then (k, n), and every criterion taking a
     state takes the stack and gives one value per member. A C-contiguous
     complex128 ``mat`` is kept, not copied, and made read-only in the
-    caller's hands too; any other input is copied.
+    caller's hands too; any other input is copied. ``spectrum`` is
+    read-only as well, so a state shared by every caller cannot change.
     """
 
     __slots__ = ("mat", "d", "spectrum")
@@ -141,6 +142,7 @@ class DensityMatrix:
             )[int(failed[:, i].argmax())])
 
         m.setflags(write=False)
+        spectrum.setflags(write=False)
         self.mat = m
         self.d = int(d)
         self.spectrum = spectrum
@@ -310,9 +312,15 @@ class Family(NamedTuple):
     interval: tuple[float, float, bool]
 
 
+@functools.cache
+def _sigma1() -> DensityMatrix:
+    """The paper's sigma_1, built and validated once, on first use, and shared by every caller."""
+    return sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j)
+
+
 # the one registry of swept families; sigma sweeps the diag(a, 1) filter over one state, the paper's sigma_1
 FAMILIES = {
-    "sigma": Family(lambda _a, _d: sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j), 2, (0.0, 1.0, False)),
+    "sigma": Family(lambda _a, _d: _sigma1(), 2, (0.0, 1.0, False)),
     "rho2": Family(lambda a, _d: rho2(a), 3, (0.35, 0.369, False)),
     "rho3": Family(lambda a, _d: rho3(a), 3, (0.5, 0.65, False)),
     "rho_alpha": Family(lambda alpha, _d: rho_alpha(alpha), 3, (4, 5, True)),

@@ -237,6 +237,26 @@ def test_csv_columns_format_by_type(tmp_path):
     assert path.read_bytes() == b"x,flag,npt,name,v\n0.1,true,false,a,1e-20\n0.333333333333,false,true,NO,2\n"
 
 
+def test_one_value_columns_write_as_their_replicas(tmp_path):
+    # a column of one value beside longer ones holds it on every row of its block; the text
+    # holds braces, since the value goes into a str.format template
+    params = np.linspace(0.0, 1.0, 7)
+
+    def block(p, n):  # n copies of each one-value column; the float changes from block to block
+        return [p, np.full(n, 1.0 / (3.0 + p[0])), [True] * n, np.array([False] * n), ["{0} {}"] * n]
+
+    header = ["param", "x", "flag", "npt", "text"]
+    for split in ([params], [params[:3], params[3:6], params[6:]]):
+        one, replicated = tmp_path / "one.csv", tmp_path / "replicated.csv"
+        cli._write_csv(str(one), header, [block(p, 1) for p in split])
+        cli._write_csv(str(replicated), header, [block(p, len(p)) for p in split])
+        assert one.read_bytes() == replicated.read_bytes()
+        assert one.read_text().count("\n") == 8
+    assert one.read_text().splitlines()[1:5] == [
+        "0,0.333333333333,true,false,{0} {}", "0.166666666667,0.333333333333,true,false,{0} {}",
+        "0.333333333333,0.333333333333,true,false,{0} {}", "0.5,0.285714285714,true,false,{0} {}"]
+
+
 def test_reproduce_unknown_target_usage_error(tmp_path, capsys):
     assert main(["reproduce", "fig9", "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
     capsys.readouterr()
@@ -555,6 +575,30 @@ def test_a_failing_block_through_dev_stdout_empties_the_redirected_file(tmp_path
         proc = subprocess.run([sys.executable, "-c", code], stdout=fh, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 1 and "injected" in proc.stderr
     assert out.read_bytes() == b""
+
+
+@pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="/dev/stdout is not a link here")
+def test_output_to_dev_stdout_appended_to_a_file_keeps_its_old_content(tmp_path):
+    # stdout opened for appending: the CSV goes after the old content, and a failed
+    # write leaves the old content alone
+    out, fresh = tmp_path / "log.txt", tmp_path / "fresh.csv"
+    old = b"old content\n" * 50
+    assert main(["reproduce", "ex_rho1", "-o", str(fresh)]) == EXIT_OK
+    failing = (
+        "import numpy as np\n"
+        "from teleres import NotAState, cli\n"
+        "def blocks():\n"
+        "    yield [np.array([0.5, 0.6]), [True, False]]\n"
+        "    raise NotAState('injected failure in the second block')\n"
+        "cli._write_csv('/dev/stdout', ['param', 'is_npt'], blocks())\n"
+    )
+    succeeding = "from teleres import cli\nraise SystemExit(cli.main(['reproduce', 'ex_rho1', '-o', '/dev/stdout']))\n"
+    for code, returncode, want in ((succeeding, 0, old + fresh.read_bytes()), (failing, 1, old)):
+        out.write_bytes(old)
+        with open(out, "ab") as fh:
+            proc = subprocess.run([sys.executable, "-c", code], stdout=fh, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == returncode, proc.stderr
+        assert out.read_bytes() == want
 
 
 def test_usage_errors_leave_an_existing_file_unchanged(tmp_path, capsys):

@@ -173,6 +173,26 @@ def test_spa_pt_2qubit_is_spa_pt():
     assert spa_pt_2qubit is spa_pt is criteria.spa_pt_2qubit
 
 
+def test_spa_readers_solve_nothing_and_spa_pt_still_validates(monkeypatch):
+    # the filter value and the SPA identity read the SPA matrix of a validated state without
+    # validating it again; spa_pt alone wraps it in a state, with its one eigensolve
+    solves = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: solves.append(np.shape(m)) or lapack(m))
+    one, stack, qutrits = sigma1(), noisy_singlet(np.array([0.2, 0.9]), 2), rho3(np.array([0.5, 0.6]))
+    solves.clear()
+    for rho in (one, stack):
+        f_opt_locc_spa(rho, FilterOperator(0.9))
+        f_opt_locc_spa(rho, FilterOperator(np.array([0.5, 1.0])), unit_trace=True)
+        spa_trace_identity(x_opt(FilterOperator(0.9), unit_trace=True), rho)
+    spa_trace_identity(np.eye(9) / 9, qutrits)
+    assert solves == []
+    st = spa_pt(stack)
+    assert solves == [(2, 4, 4)] and isinstance(st, DensityMatrix) and st.spectrum.shape == (2, 4)
+    assert f_opt_locc_spa(stack, FilterOperator(0.9)).tolist() == [
+        2.5 - 9.0 * trace_product(x_opt(FilterOperator(0.9)), m).real for m in st.mat]
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_spa_is_a_state_and_affine_pt_at_every_d(d):
     n = d * d

@@ -543,6 +543,19 @@ def test_a_sweep_solves_only_what_its_quantities_need(tmp_path, monkeypatch, fam
     assert sorted(sizes) == sorted(solved * 3)
 
 
+def test_a_sigma_sweep_builds_sigma1_once(tmp_path, monkeypatch):
+    # sigma_1 is validated once per process, and the SPA filter value solves nothing
+    states._sigma1.cache_clear()
+    sizes = []
+    lapack = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda m: sizes.append(np.shape(m)) or lapack(m))
+    monkeypatch.setattr(cli, "SWEEP_BLOCK_ENTRIES", 7 * 2**4)  # 3 blocks of 7 states
+    argv = ["sweep", "--family", "sigma", "--from", "0", "--to", "1", "--steps", "21",
+            "--quantities", "f_opt_spa,lambda_max", "-o", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert sizes == [(4, 4)]
+
+
 def test_no_sweep_runs_the_filter_optimum(tmp_path, monkeypatch):
     def refuse(rho):
         raise AssertionError("optimize_filter ran")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from teleres import (
+    FAMILIES,
     DensityMatrix,
     MaximallyEntangledVector,
     NotAState,
@@ -191,6 +192,19 @@ def test_sigma_example_entries():
     expect[2, 2] = 0.4
     expect[3, 3] = 0.4
     np.testing.assert_allclose(m, expect)
+
+
+def test_the_shared_sigma1_is_read_only():
+    # FAMILIES["sigma"] builds and validates the paper's sigma_1 once, and every caller shares it
+    sig = FAMILIES["sigma"].build(None, 2)
+    assert sig is FAMILIES["sigma"].build(np.array([0.5, 1.0]), 2)
+    assert np.array_equal(sig.mat, sigma_family(0.2, 0.4, 0.4, 0.25 + 0.1j).mat)
+    with pytest.raises(ValueError, match="read-only"):
+        sig.mat[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sig.spectrum[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rho3(np.array([0.5, 0.6])).spectrum[1, -1] = 0.0
 
 
 def test_sigma_zero_coherence_is_separable_diagonal():
