@@ -101,64 +101,62 @@ def _write_csv(path: str, header: list[str], blocks) -> None:
     is drawn. A column of one value beside longer ones holds that value on
     every row of its block.
 
-    Every row of the file is formatted by one ``str.format`` template, built
-    from the type of each column's first value in the first block:
-    true/false for bools, 12 significant digits for floats, str for
-    anything else; a one-value column is formatted into the template once
-    per block, not on every row. If drawing or writing a block raises, the
-    file is removed, even one that existed before, or through a link to one
-    cut to zero length, and the exception propagates.
+    Each block's rows are formatted by one ``str.format`` template, built
+    from the type of each column's first value in that block: true/false
+    for bools, 12 significant digits for floats, str for anything else; a
+    one-value column is formatted into the template once, not on every row.
 
-    An existing file is overwritten in place and then cut to the length
-    written, not truncated on open: a truncate frees the old blocks and the
-    rewrite allocates new ones, which on ext4 costs several times as much as
-    writing over them. Only a regular file is cut; a device or a FIFO
-    (``/dev/stdout`` on a terminal or a pipe, ``/dev/null``) is written as a
-    stream. A run killed part way leaves the new rows written so far,
+    The file is opened without truncating it and written over in place: a
+    truncate frees the old blocks and the rewrite allocates new ones, which
+    on ext4 costs several times as much as writing over them. When ``path``
+    names the regular file that stdout or stderr writes to (``-o
+    /dev/stdout >> log``), the rows go through that stream's own open file,
+    at its offset and in its append mode. One rule then settles what is
+    left, for a regular file only; a device or a FIFO (``/dev/null``, a
+    terminal, a pipe) is never cut. On success the file is cut at the end
+    of the write, which for a stream's file opened for appending is already
+    the end of the file. On failure it is cut back to where the write began,
+    0 or the stream's file's old length, and then removed, unless ``path``
+    reached it through a link or it is a stream's file; the exception
+    propagates. A run killed part way leaves the new rows written so far,
     followed by the old file's tail where the old file was longer.
-
-    The regular file that stdout writes to (``-o /dev/stdout >> log``) is
-    written through stdout's own descriptor, at its offset and in its
-    append mode, and not cut, so it keeps what it held; a failure cuts it
-    back to the length it had before the write.
     """
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     st = os.fstat(fd)
-    try:
-        to_stdout = stat.S_ISREG(st.st_mode) and fd != 1 and os.path.samestat(st, os.fstat(1))
-    except OSError:  # no stdout
-        to_stdout = False
-    if to_stdout:  # fd now shares stdout's open file: its offset and its append mode
-        os.dup2(1, fd)
+    regular = stat.S_ISREG(st.st_mode)
+    std = None  # the standard stream that writes to this file, stdout before stderr
+    for s in (2, 1) if regular else ():
+        try:
+            if s != fd and os.path.samestat(st, os.fstat(s)):
+                std = s
+        except OSError:  # no such stream
+            pass
+    if std:  # fd now shares the stream's open file: its offset and its append mode
+        os.dup2(std, fd)
     with open(fd, "w", encoding="utf-8", newline="\n") as fh:
         try:
             fh.write(",".join(header) + "\n")
-            formats = None
             for block in blocks:
                 columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-                if formats is None:
-                    flags = [isinstance(c[0], bool) for c in columns]
-                    formats = ["{:.12g}" if isinstance(c[0], float) else "{}" for c in columns]
                 rows = max(map(len, columns))
                 cells, varying = [], []
-                for flag, fmt, c in zip(flags, formats, columns):
-                    text = map(("false", "true").__getitem__, c) if flag else c
+                for c in columns:
+                    fmt = "{:.12g}" if isinstance(c[0], float) else "{}"
+                    text = map(("false", "true").__getitem__, c) if isinstance(c[0], bool) else c
                     if len(c) == 1 < rows:  # one value for every row: into the template, escaped for format
                         cells.append(fmt.format(*text).replace("{", "{{").replace("}", "}}"))
                     else:
                         cells.append(fmt)
                         varying.append(text)
                 fh.write("".join(map((",".join(cells) + "\n").format, *varying)))
-            if stat.S_ISREG(st.st_mode) and not to_stdout:
-                fh.truncate()  # drop the old file's tail, if it was longer
+            if regular:
+                fh.truncate()  # drop the old file's tail; an appending stream's file already ends here
         except BaseException:
             fh.close()
-            if to_stdout:  # back to what stdout's file held before this write
-                os.truncate(path, st.st_size)
-            elif os.path.isfile(path) and os.path.islink(path):  # keep the link, empty its target
-                os.truncate(path, 0)
-            elif os.path.isfile(path):  # never a device or a FIFO
-                os.remove(path)
+            if regular:  # never a device or a FIFO
+                os.truncate(path, st.st_size if std else 0)
+                if not (std or os.path.islink(path)):
+                    os.remove(path)
             raise
 
 

@@ -358,8 +358,9 @@ def qutrit_me_basis() -> tuple[MaximallyEntangledVector, ...]:
 
 def save_state(rho: DensityMatrix, path: str | os.PathLike) -> None:
     """Write the density-matrix document: {"d": int, "entries": [[re, im], ...]}."""
-    flat = rho.mat.ravel()
-    doc = {"d": rho.d, "entries": [[z.real, z.imag] for z in flat]}
+    if rho.mat.ndim != 2:
+        raise linalg.DimensionMismatch(f"save_state takes one state, got a stack of {len(rho.mat)}")
+    doc = {"d": rho.d, "entries": [[z.real, z.imag] for z in rho.mat.ravel()]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")

@@ -536,9 +536,10 @@ def test_a_failing_block_removes_an_existing_file(tmp_path):
         yield [np.array([0.5, 0.6]), [True, False]]
         raise NotAState("injected failure in the second block")
 
-    with pytest.raises(NotAState, match="injected"):
-        cli._write_csv(str(path), ["param", "is_npt"], blocks())
-    assert not path.exists()
+    for out in (path, tmp_path / "new.csv"):  # a file that existed, and one that did not
+        with pytest.raises(NotAState, match="injected"):
+            cli._write_csv(str(out), ["param", "is_npt"], blocks())
+        assert not out.exists()
 
 
 def _failing_blocks():
@@ -598,6 +599,50 @@ def test_output_to_dev_stdout_appended_to_a_file_keeps_its_old_content(tmp_path)
         with open(out, "ab") as fh:
             proc = subprocess.run([sys.executable, "-c", code], stdout=fh, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == returncode, proc.stderr
+        assert out.read_bytes() == want
+
+
+_FAILING_WRITE = (
+    "import sys\n"
+    "import numpy as np\n"
+    "from teleres import NotAState, cli\n"
+    "def blocks():\n"
+    "    yield [np.array([0.5, 0.6]), [True, False]]\n"
+    "    raise NotAState('injected failure in the second block')\n"
+    "try:\n"
+    "    cli._write_csv(sys.argv[1], ['param', 'is_npt'], blocks())\n"
+    "except NotAState:\n"
+    "    raise SystemExit(1)\n"  # silently: stderr may be the file under test
+)
+
+
+@pytest.mark.parametrize("mode, left", [("ab", b"old content\n" * 50), ("wb", b"")], ids=["append", "write"])
+def test_a_failing_block_on_stdouts_file_by_its_own_path_keeps_the_file(tmp_path, mode, left):
+    # -o names the file stdout writes to by its plain path, not /dev/stdout: it is a
+    # stream's file, so a failure cuts it back to where the write began and keeps it
+    out = tmp_path / "stdout.csv"
+    out.write_bytes(b"old content\n" * 50)
+    with open(out, mode) as fh:
+        proc = subprocess.run([sys.executable, "-c", _FAILING_WRITE, str(out)], stdout=fh, stderr=subprocess.PIPE)
+    assert proc.returncode == 1 and proc.stderr == b""
+    assert out.read_bytes() == left
+
+
+@pytest.mark.skipif(not os.path.islink("/dev/stderr"), reason="/dev/stderr is not a link here")
+def test_output_to_dev_stderr_appended_to_a_file_keeps_its_old_content(tmp_path):
+    # stderr opened for appending (2>> log) is written like stdout: the CSV goes after
+    # the old content, and a failed write leaves the old content alone
+    out, fresh = tmp_path / "err.log", tmp_path / "fresh.csv"
+    old = b"old content\n" * 50
+    assert main(["reproduce", "ex_rho1", "-o", str(fresh)]) == EXIT_OK
+    succeeding = (
+        "import sys\nfrom teleres import cli\nraise SystemExit(cli.main(['reproduce', 'ex_rho1', '-o', sys.argv[1]]))\n"
+    )
+    for code, returncode, want in ((succeeding, 0, old + fresh.read_bytes()), (_FAILING_WRITE, 1, old)):
+        out.write_bytes(old)
+        with open(out, "ab") as fh:
+            proc = subprocess.run([sys.executable, "-c", code, "/dev/stderr"], stdout=subprocess.PIPE, stderr=fh)
+        assert proc.returncode == returncode
         assert out.read_bytes() == want
 
 

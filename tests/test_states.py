@@ -8,6 +8,7 @@ import pytest
 from teleres import (
     FAMILIES,
     DensityMatrix,
+    DimensionMismatch,
     MaximallyEntangledVector,
     NotAState,
     ParseError,
@@ -388,6 +389,14 @@ def test_state_file_round_trip(tmp_path):
         back = load_state(path)
         assert back.d == rho.d
         np.testing.assert_allclose(back.mat, rho.mat, atol=1e-15)
+
+
+def test_save_state_rejects_a_stack(tmp_path):
+    # the document holds one state: a stack's entries would not load back
+    path = tmp_path / "stack.json"
+    with pytest.raises(DimensionMismatch, match="save_state takes one state, got a stack of 2"):
+        save_state(rho3(np.array([0.5, 0.6])), path)
+    assert not path.exists()
 
 
 def test_load_rejects_bad_json(tmp_path):
