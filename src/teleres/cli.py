@@ -164,7 +164,7 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     rho = load_state(path)
     report = verdict(rho, dembo_variant)
     if as_json:
-        print(json.dumps({**vars(report), "verdict": report.verdict.value}, indent=2))
+        print(json.dumps(vars(report), indent=2))
         return EXIT_OK
     print(f"state: d={report.d} ({rho.dim}x{rho.dim})")
     print(f"npt: {'yes' if report.is_npt else 'no'}")
@@ -177,7 +177,7 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     if report.f_opt_locc is not None:
         print(f"filtered LOCC value (best diag filter): {report.f_opt_locc:.4g}")
     print(f"teleportation fidelity upper bound: {report.fidelity_upper:.4g}")
-    print(f"verdict: {report.verdict.value} (dembo variant: {report.dembo_variant})")
+    print(f"verdict: {report.verdict} (dembo variant: {report.dembo_variant})")
     return EXIT_OK
 
 
@@ -257,11 +257,8 @@ def _sweep_blocks(spec: SweepSpec, dembo_variant: str):
     size = max(1, SWEEP_BLOCK_ENTRIES // d**4)
     params = np.linspace(spec.lo, spec.hi, spec.steps)
 
-    def columns(block: np.ndarray) -> list:
-        cols = criteria._columns(family.build(block, d), spec.quantities, dembo_variant, block)
-        return [block, *([v.value for v in c] if q == "verdict" else c for q, c in zip(spec.quantities, cols))]
-
-    return (columns(params[i : i + size]) for i in range(0, spec.steps, size))
+    blocks = (params[i : i + size] for i in range(0, spec.steps, size))
+    return ([p, *criteria._columns(family.build(p, d), spec.quantities, dembo_variant, p)] for p in blocks)
 
 
 def cmd_reproduce(target: str, out_path: str) -> int:
@@ -333,10 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("file")
     p_an.add_argument("--dembo", choices=criteria.DEMBO_VARIANTS, default="paper")
     p_an.add_argument("--json", action="store_true", help="full-precision machine output")
+    p_an.set_defaults(run=lambda a: cmd_analyze(a.file, a.dembo, a.json))
 
     p_re = sub.add_parser("reproduce", help="emit a bundled reference curve or example as CSV")
     p_re.add_argument("target", choices=REPRODUCE_TARGETS)
     p_re.add_argument("-o", "--output", required=True)
+    p_re.set_defaults(run=lambda a: cmd_reproduce(a.target, a.output))
 
     p_sw = sub.add_parser("sweep", help="sweep a state family and emit CSV")
     p_sw.add_argument("--family", required=True, choices=tuple(states.FAMILIES))
@@ -348,10 +347,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--dembo", choices=criteria.DEMBO_VARIANTS, default="paper")
     p_sw.add_argument("--dim", type=_int_in(2, MAX_DIM),
                       help=f"local dimension for noisy_singlet (default 3), at most {MAX_DIM}")
+    p_sw.set_defaults(run=lambda a: cmd_sweep(
+        SweepSpec(a.family, a.lo, a.hi, a.steps, tuple(q.strip() for q in a.quantities.split(",") if q.strip()), a.dim),
+        a.output, a.dembo))
 
     p_au = sub.add_parser("audit", help="run the inequality harness")
     p_au.add_argument("--trials", type=_int_in(1, MAX_TRIALS), required=True)
     p_au.add_argument("--seed", type=_int_in(0, oracle.SEED_MAX), default=0)
+    p_au.set_defaults(run=lambda a: cmd_audit(a.trials, a.seed))
 
     return parser
 
@@ -367,22 +370,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.file, args.dembo, args.json)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.target, args.output)
-        if args.command == "sweep":
-            spec = SweepSpec(
-                family=args.family,
-                lo=args.lo,
-                hi=args.hi,
-                steps=args.steps,
-                quantities=tuple(q.strip() for q in args.quantities.split(",") if q.strip()),
-                dim=args.dim,
-            )
-            return cmd_sweep(spec, args.output, args.dembo)
-        if args.command == "audit":
-            return cmd_audit(args.trials, args.seed)
+        return args.run(args)
     except InvalidSpec as exc:
         print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -393,7 +381,6 @@ def main(argv: list[str] | None = None) -> int:
         target = getattr(args, "output", "stdout")
         print(f"error: cannot write {target}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 def entry() -> None:  # console-script hook

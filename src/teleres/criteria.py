@@ -356,6 +356,7 @@ class Verdict(str, Enum):
     USEFUL_BY_SINGLET_FRACTION = "UsefulBySingletFraction"
     SEPARABLE_BY_THEOREM2 = "SeparableByTheorem2"
     INCONCLUSIVE = "Inconclusive"
+    __str__, __format__ = str.__str__, str.__format__  # print as the label, as json.dumps writes it
 
 
 _RULE_VERDICTS = tuple(Verdict)

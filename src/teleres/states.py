@@ -168,7 +168,7 @@ class MaximallyEntangledVector:
         if d < 2 or d * d != v.size:
             raise NotAState(f"vector of length {v.size} is not bipartite d x d")
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN norm fails too
             raise NotAState(f"norm is {norm:.15f}, not 1")
         psi = v.reshape(d, d)
         red_a = psi @ psi.conj().T
@@ -229,12 +229,7 @@ def sigma_family(b: float, d: float, e: float, f: complex) -> DensityMatrix:
 def rho1() -> DensityMatrix:
     """Two-qubit state with singlet fraction exactly 1/2 but lam_max = 2 - sqrt(2)."""
     s2 = math.sqrt(2.0)
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[1, 1] = (3.0 - 2.0 * s2) / 2.0
-    m[1, 2] = m[2, 1] = (1.0 - s2) / 2.0
-    m[2, 2] = 0.5
-    m[3, 3] = s2 - 1.0
-    return DensityMatrix(m, 2)
+    return sigma_family((3.0 - 2.0 * s2) / 2.0, 0.5, s2 - 1.0, (1.0 - s2) / 2.0)
 
 
 def _family_params(name: str, value, family: str) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -768,6 +769,12 @@ def test_dembo_rejects_non_finite_eta(bad):
 
 
 # ---- verdicts ----
+
+@pytest.mark.parametrize("v", list(Verdict), ids=[v.value for v in Verdict])
+def test_verdict_prints_as_its_label(v):
+    # the label is what analyze prints and a sweep's verdict column holds, on every Python
+    assert str(v) == format(v) == f"{v}" == "{}".format(v) == v.value
+    assert json.dumps({"v": v}) == json.dumps({"v": v.value})
 
 def test_verdict_rho1():
     rep = verdict(rho1())

@@ -122,7 +122,8 @@ def test_phi_plus_d3_support():
     (np.ones(6) / math.sqrt(6), "vector of length 6 is not bipartite d x d"),
     (2 * phi_plus(2).vec, "norm is 2.000000000000000, not 1"),
     (np.array([1.0, 0.0, 0.0, 0.0]), "one-sided reduction is not maximally mixed"),  # |00>
-], ids=["2d", "length_6", "norm_2", "product"])
+    (np.full(4, np.nan), "norm is nan, not 1"),
+], ids=["2d", "length_6", "norm_2", "product", "nan"])
 def test_maximally_entangled_vector_rejects(vec, message):
     with pytest.raises(NotAState, match=f"^{re.escape(message)}$"):
         MaximallyEntangledVector(vec)
