@@ -1,10 +1,11 @@
 """Teleportation-usefulness criteria for bipartite mixed states.
 
 Covers partial transposition and its structural physical approximation
-(SPA, at every d), singlet-fraction estimates along three routes (filtered
-LOCC value, basis overlap, exact two-qubit fully entangled fraction), the
-maximum-eigenvalue criterion, teleportation-fidelity bounds, and two-sided
-Dembo eigenvalue bounds from a bordered block split.
+(SPA, at every d), singlet-fraction estimates (the two-qubit filtered LOCC
+value, and the lower bound a verdict reads: the exact fully entangled
+fraction at d = 2, the nine-vector basis overlap at d = 3, the phi+
+overlap at d >= 4), the maximum-eigenvalue criterion, teleportation-fidelity
+bounds, and two-sided Dembo eigenvalue bounds from a bordered block split.
 
 Every criterion also takes a stack of states (a (k, n, n) ``mat``) or a
 vector of filter parameters, and gives per member what that member gives.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DimensionMismatch, hermiticity_defect, trace_product
-from .states import DensityMatrix, MaximallyEntangledVector, _check_local_dim, phi_plus, qutrit_me_basis
+from .states import DensityMatrix, MaximallyEntangledVector, _check_local_dim, _within, phi_plus, qutrit_me_basis
 
 __all__ = [
     "DimensionUnsupported",
@@ -82,8 +83,7 @@ class FilterOperator:
     a: float | np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a)
-        if not ((0.0 <= a) & (a <= 1.0)).all():  # NaN fails; an empty vector passes
+        if not _within(self.a, 0.0, 1.0).all():  # NaN, complex and str fail; an empty vector passes
             raise ValueError(f"filter parameter a = {self.a!r} outside [0, 1]")
 
 
@@ -276,7 +276,7 @@ def max_eigenvalue(rho: DensityMatrix) -> float:
 def fidelity_from_fraction(fraction: float, d: int) -> float:
     """Teleportation fidelity (d F + 1) / (d + 1) from a singlet fraction F."""
     f = np.asarray(fraction)
-    if not ((-1e-12 <= f) & (f <= 1.0 + 1e-12)).all():  # NaN fails; an empty stack passes
+    if not _within(f, -1e-12, 1.0 + 1e-12).all():  # NaN, complex and str fail; an empty stack passes
         raise ValueError(f"singlet fraction {fraction!r} outside [0, 1]")
     _check_local_dim(d)
     return _py((d * f + 1.0) / (d + 1.0))
@@ -317,11 +317,11 @@ class DemboDecomposition:
         """Split off the last row/column and bound the top eigenvalue, in one
         eigensolve of R_sub. A given ``eta_high``, which must be finite,
         replaces the exact one in the upper bounds, to replay a quoted value."""
-        m = np.asarray(mat, dtype=np.complex128)
+        m = linalg.as_complex_matrix(mat)
         n = m.shape[-1]
         if n < 2:
             raise ValueError("Dembo split needs dim >= 2")
-        if not (eta_high is None or np.isfinite(eta_high).all()):
+        if not (eta_high is None or _within(eta_high, -math.inf, math.inf).all() and np.isfinite(eta_high).all()):
             raise ValueError(f"eta_high must be finite, got {eta_high!r}")
         # eigvalsh solves a strided R_sub with a copy's bits; a strided b would move the bounds an ulp
         r_sub = m[..., : n - 1, : n - 1]

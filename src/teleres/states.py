@@ -100,8 +100,7 @@ class DensityMatrix:
         """
         m = linalg.as_complex_matrix(mat)
         n = m.shape[-1]
-        if d is None:
-            d = math.isqrt(n)
+        d = math.isqrt(n) if d is None else _check_local_dim(d)
         if d < 2 or d * d != n:
             raise NotAState(f"matrix of dim {n} is not a d x d bipartite state (d={d})")
         # one state is a stack of one; every quantity is per member, taken one block at a time
@@ -144,7 +143,7 @@ class DensityMatrix:
         m.setflags(write=False)
         spectrum.setflags(write=False)
         self.mat = m
-        self.d = int(d)
+        self.d = d
         self.spectrum = spectrum
 
     @property
@@ -189,18 +188,26 @@ class MaximallyEntangledVector:
         return np.outer(self.vec, self.vec.conj())
 
 
-def _check_local_dim(d) -> None:
-    """Raise ValueError unless ``d`` is a Python or numpy integer of at least 2."""
+def _check_local_dim(d) -> int:
+    """``d`` as a Python int; ValueError unless it is a Python or numpy integer of at least 2."""
     if not isinstance(d, (int, np.integer)):
         raise ValueError(f"local dimension must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"local dimension must be >= 2, got {d}")
+    return operator.index(d)
+
+
+def _within(value, lo: float, hi: float, open_lo: bool = False) -> np.ndarray:
+    """Which entries of ``value`` lie in [lo, hi], or (lo, hi] if ``open_lo``: no NaN, complex or non-number does."""
+    p = np.asarray(value)
+    if p.dtype.kind not in "biuf":  # complex compares by its real part first, a string raises a TypeError
+        p = np.full(p.shape, np.nan)
+    return ((p > lo) if open_lo else (p >= lo)) & (p <= hi)
 
 
 def phi_plus(d: int) -> MaximallyEntangledVector:
     """(1/sqrt(d)) sum_i |ii>, built and validated once per d and shared by every caller."""
-    _check_local_dim(d)
-    return _phi_plus(operator.index(d))
+    return _phi_plus(_check_local_dim(d))
 
 
 @functools.cache  # keyed on a Python int: a numpy integer would key apart from its equal int
@@ -236,12 +243,11 @@ def _family_params(name: str, value, family: str) -> np.ndarray:
     """The parameter, or array of parameters, of a family, once each lies in its
     interval; the error names the first one that does not. Sweep specs check here too."""
     lo, hi, open_lo = FAMILIES[family].interval
-    p = np.asarray(value, dtype=np.float64)
-    ok = ((p > lo) if open_lo else (p >= lo)) & (p <= hi)
+    ok = _within(value, lo, hi, open_lo)
     if not ok.all():
-        bad = value if p.ndim == 0 else float(p.ravel()[np.argmin(ok.ravel())])
+        bad = value if ok.ndim == 0 else np.ravel(value)[np.argmin(ok.ravel())].item()
         raise ValueError(f"{name} = {bad!r} outside {'(' if open_lo else '['}{lo}, {hi}] of {family}")
-    return p
+    return np.asarray(value, dtype=np.float64)
 
 
 def rho2(a: float | np.ndarray) -> DensityMatrix:
@@ -283,9 +289,8 @@ def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
     """
     alpha = _family_params("alpha", alpha, "rho_alpha")
     m = np.tile((2.0 / 7.0) * phi_plus(3).projector(), alpha.shape + (1, 1))
-    plus, minus = [1, 5, 6], [3, 7, 2]  # |01>, |12>, |20> and |10>, |21>, |02>
-    m[..., plus, plus] += (alpha / 21.0)[..., None]
-    m[..., minus, minus] += ((5.0 - alpha) / 21.0)[..., None]
+    m[..., _shift(1), _shift(1)] += (alpha / 21.0)[..., None]
+    m[..., _shift(2), _shift(2)] += ((5.0 - alpha) / 21.0)[..., None]
     return DensityMatrix(m, 3)
 
 
@@ -323,31 +328,24 @@ FAMILIES = {
 }
 
 
-_QUTRIT_TRIPLES = (
-    ((0, 0), (2, 2), (1, 1)),
-    ((0, 1), (2, 0), (1, 2)),
-    ((0, 2), (2, 1), (1, 0)),
-    ((1, 1), (0, 0), (2, 2)),
-    ((1, 2), (0, 1), (2, 0)),
-    ((1, 0), (0, 2), (2, 1)),
-    ((1, 1), (2, 2), (0, 0)),
-    ((2, 0), (1, 2), (0, 1)),
-    ((2, 1), (1, 0), (0, 2)),
-)
+def _shift(s: int) -> list[int]:
+    """The indices of |i, i+s mod 3>, i = 0, 1, 2, among the nine two-qutrit basis states."""
+    return [3 * i + (i + s) % 3 for i in range(3)]
 
 
 @functools.cache
 def qutrit_me_basis() -> tuple[MaximallyEntangledVector, ...]:
-    """The nine-vector maximally entangled basis of C^9 with phase -e^{i pi/3},
-    built and validated once, on first use, and shared by every caller."""
+    """The nine-vector maximally entangled basis of C^9, built and validated once, on first
+    use, and shared by every caller: for m = 1, 2, 0 and then s = 0, 1, 2, the vector
+    sum_i c_i |i, i+s mod 3> / sqrt(3), with c_m = -e^{i pi/3} and every other c_i = 1."""
     phase = -np.exp(1j * np.pi / 3.0)
     out = []
-    for k1, k2, k3 in _QUTRIT_TRIPLES:
-        v = np.zeros(9, dtype=np.complex128)
-        v[3 * k1[0] + k1[1]] += 1.0
-        v[3 * k2[0] + k2[1]] += 1.0
-        v[3 * k3[0] + k3[1]] += phase
-        out.append(MaximallyEntangledVector(v / math.sqrt(3.0)))
+    for m in (1, 2, 0):
+        for s in range(3):
+            v = np.zeros(9, dtype=np.complex128)
+            v[_shift(s)] = 1.0
+            v[_shift(s)[m]] = phase
+            out.append(MaximallyEntangledVector(v / math.sqrt(3.0)))
     return tuple(out)
 
 

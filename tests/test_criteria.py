@@ -749,8 +749,12 @@ def test_dembo_diagonal_matrix():
 
 
 def test_dembo_split_rejects_a_1x1_matrix():
-    with pytest.raises(ValueError, match="Dembo split needs dim >= 2"):
-        DemboDecomposition.from_matrix(np.ones((1, 1)))
+    # and, as every routine does, a matrix that is not square
+    for mat, error, match in ((np.ones((1, 1)), ValueError, "Dembo split needs dim >= 2"),
+                              (np.zeros((3, 4)), DimensionMismatch, r"square matrix .* shape \(3, 4\)"),
+                              (np.zeros(4), DimensionMismatch, r"square matrix .* shape \(4,\)")):
+        with pytest.raises(error, match=match):
+            DemboDecomposition.from_matrix(mat)
 
 
 def test_dembo_rejects_unknown_variant():
@@ -758,7 +762,7 @@ def test_dembo_rejects_unknown_variant():
         dembo_bounds(rho1(), "half")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x"])
 def test_dembo_rejects_non_finite_eta(bad):
     stack = DensityMatrix(np.stack([rho3(0.5).mat, rho3(0.65).mat]), 3)
     for rho in (rho3(0.65), stack):

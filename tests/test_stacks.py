@@ -92,6 +92,13 @@ def test_family_stack_range_check_names_first_bad_parameter():
         rho_alpha(np.array([4.5, 4.0]))
     with pytest.raises(ValueError, match=r"p = nan outside \[0, 1\]"):
         noisy_singlet(np.array([0.5, np.nan]), 3)
+    # a complex or non-numeric parameter lies in no interval, a real part in range or not
+    with pytest.raises(ValueError, match=r"a = \(0\.36\+0j\) outside \[0\.35, 0\.369\]"):
+        rho2(0.36 + 0j)
+    with pytest.raises(ValueError, match=r"a = '0\.36' outside \[0\.35, 0\.369\]"):
+        rho2("0.36")
+    with pytest.raises(ValueError, match=r"alpha = \(4\.5\+0j\) outside \(4, 5\]"):
+        rho_alpha(np.array([4.5, 4.6 + 0.1j]))
 
 
 def test_rho2_stack_keeps_its_relaxed_psd_floor():
@@ -368,7 +375,7 @@ def test_an_empty_stack_gives_no_reports(name, build, params):
 def test_range_checks_pass_an_empty_vector_and_fail_nan():
     assert FilterOperator(np.array([])).a.size == 0
     assert fidelity_from_fraction(np.array([]), 3).shape == (0,)
-    for bad in (np.nan, np.array([0.5, np.nan])):
+    for bad in (np.nan, np.array([0.5, np.nan]), 0.5 + 0.3j, np.array([0.5, 0.2 + 0.9j]), "0.5"):
         with pytest.raises(ValueError, match="outside"):
             FilterOperator(bad)
         with pytest.raises(ValueError, match="outside"):

@@ -147,6 +147,8 @@ def test_a_local_dimension_that_is_not_an_integer_is_named(d):
         phi_plus(d)
     with pytest.raises(ValueError, match=message):
         noisy_singlet(0.5, d)
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(np.eye(9) / 9, d)
 
 
 def test_a_numpy_integer_is_a_local_dimension():
