@@ -181,9 +181,12 @@ def cmd_analyze(path: str, dembo_variant: str = "paper", as_json: bool = False) 
     return EXIT_OK
 
 
-def _reproduce_columns(target: str) -> tuple[list[str], list]:
-    """A worked example's CSV header and columns: each quoted value beside the computed one."""
-    header = ["quantity", "expected", "computed", "abs_diff", "reproduced"]
+def _reproduce(target: str) -> tuple[list[str], list]:
+    """A reproduce target's CSV header and blocks: a figure's sweep under the paper's
+    header, or a worked example's one block, each quoted value beside the computed one."""
+    if isinstance(target, str) and target in FIGURES:  # any other target is named unknown below
+        spec, header = FIGURES[target]
+        return header, _sweep_blocks(spec, "paper")
 
     def row(name: str, expected: float, computed: float, tol: float = 1e-3) -> list:
         diff = abs(expected - computed)
@@ -237,7 +240,7 @@ def _reproduce_columns(target: str) -> tuple[list[str], list]:
         ]
     else:
         raise InvalidSpec(f"unknown reproduce target {target!r}")
-    return header, list(zip(*rows))
+    return ["quantity", "expected", "computed", "abs_diff", "reproduced"], [list(zip(*rows))]
 
 
 def _sweep_blocks(spec: SweepSpec, dembo_variant: str):
@@ -262,14 +265,8 @@ def _sweep_blocks(spec: SweepSpec, dembo_variant: str):
 
 
 def cmd_reproduce(target: str, out_path: str) -> int:
-    """Write a paper figure or worked example as CSV. A figure is the sweep
-    ``FIGURES`` names for it, under the paper's header."""
-    if isinstance(target, str) and target in FIGURES:  # any other target is named unknown below
-        spec, header = FIGURES[target]
-        _write_csv(out_path, header, _sweep_blocks(spec, "paper"))
-    else:
-        header, columns = _reproduce_columns(target)
-        _write_csv(out_path, header, [columns])
+    """Write a reproduce target as CSV (see ``_reproduce``), naming a bad one before opening the output."""
+    _write_csv(out_path, *_reproduce(target))
     return EXIT_OK
 
 

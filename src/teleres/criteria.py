@@ -195,9 +195,10 @@ def f_opt_locc_spa(rho: DensityMatrix, filt: FilterOperator, *, unit_trace: bool
 def sigma_spa_threshold(re_f: float, e: float) -> float:
     """Smallest filter parameter for which the SPA route value drops to <= 1/2
     on the sigma family: (-Re f + sqrt(Re(f)^2 - 2e + 4)) / 2."""
-    disc = re_f * re_f - 2.0 * e + 4.0
+    real = np.ndim(re_f) == np.ndim(e) == 0 and _within((re_f, e), -math.inf, math.inf).all()
+    disc = re_f * re_f - 2.0 * e + 4.0 if real else math.nan  # a complex, non-numeric or NaN input reads as NaN
     if not 0.0 <= disc < math.inf:  # NaN and inf fail as well
-        raise ValueError(f"threshold undefined: discriminant {disc!r} is negative or not finite")
+        raise ValueError(f"threshold undefined: discriminant {disc!r} of ({re_f!r}, {e!r}) is negative or not finite")
     return (-re_f + math.sqrt(disc)) / 2.0
 
 

@@ -65,14 +65,16 @@ class DensityMatrix:
     A (k, n, n) ``mat`` is a stack of k states of one family, validated in
     one pass; ``spectrum`` is then (k, n), and every criterion taking a
     state takes the stack and gives one value per member. A C-contiguous
-    complex128 ``mat`` is kept, not copied, and made read-only in the
-    caller's hands too; any other input is copied. ``spectrum`` is
-    read-only as well, so a state shared by every caller cannot change.
+    complex128 ``mat`` that owns its memory is kept, and made read-only in
+    the caller's hands too; a view or any other input is copied. ``spectrum``
+    is read-only as well, so a state shared by every caller cannot change.
     """
 
     __slots__ = ("mat", "d", "spectrum")
 
     def __init__(self, mat: np.ndarray, d: int | None = None, *, psd_tol: float = PSD_TOL):
+        if psd_tol not in (PSD_TOL, RHO2_PSD_TOL):  # NaN, inf or a loose floor would waive the PSD check
+            raise ValueError(f"psd_tol must be PSD_TOL or RHO2_PSD_TOL, got {psd_tol!r}")
         self._validate(mat, d, None, psd_tol)
 
     @classmethod
@@ -99,6 +101,7 @@ class DensityMatrix:
         from a validated state without checking them again.
         """
         m = linalg.as_complex_matrix(mat)
+        m = m if m.flags.owndata else m.copy()  # a view's base would stay writable
         n = m.shape[-1]
         d = math.isqrt(n) if d is None else _check_local_dim(d)
         if d < 2 or d * d != n:
@@ -160,7 +163,7 @@ class MaximallyEntangledVector:
     __slots__ = ("vec", "d")
 
     def __init__(self, vec: np.ndarray):
-        v = np.ascontiguousarray(vec, dtype=np.complex128)
+        v = np.array(vec, dtype=np.complex128)  # always a copy: the caller's array or its base may stay writable
         if v.ndim != 1:
             raise NotAState("expected a 1-D amplitude vector")
         d = math.isqrt(v.size)
@@ -288,7 +291,7 @@ def rho_alpha(alpha: float | np.ndarray) -> DensityMatrix:
     {|10>,|21>,|02>} respectively.
     """
     alpha = _family_params("alpha", alpha, "rho_alpha")
-    m = np.tile((2.0 / 7.0) * phi_plus(3).projector(), alpha.shape + (1, 1))
+    m = np.broadcast_to((2.0 / 7.0) * phi_plus(3).projector(), alpha.shape + (9, 9)).copy()
     m[..., _shift(1), _shift(1)] += (alpha / 21.0)[..., None]
     m[..., _shift(2), _shift(2)] += ((5.0 - alpha) / 21.0)[..., None]
     return DensityMatrix(m, 3)

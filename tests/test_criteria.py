@@ -393,7 +393,7 @@ def test_spa_route_threshold_at_two_ninths():
         assert (val <= 0.5) == (t >= 2 / 9 - 1e-15)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.1 + 1j, "x", [0.25, 0.4]])
 def test_sigma_threshold_rejects_non_finite(bad):
     for args in ((bad, 0.4), (0.25, bad), (bad, bad)):
         with pytest.raises(ValueError, match="not finite"):

@@ -25,6 +25,7 @@ from teleres import (
 )
 from teleres.cli import EXIT_VALIDATION, main
 from teleres.oracle import wootters_concurrence
+from teleres.states import PSD_TOL, RHO2_PSD_TOL
 from conftest import partial_trace, random_state
 
 S2 = math.sqrt(2.0)
@@ -48,6 +49,17 @@ def test_validation_rejects_negative_eigenvalue():
     m = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     with pytest.raises(NotAState, match="positive semidefinite"):
         DensityMatrix(m, 2)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 1.0, -1e-10, 1e-3, "x"])
+def test_psd_tol_takes_only_the_package_floors(tol):
+    # a NaN, infinite or loose floor would pass a matrix with eigenvalue -0.2
+    m = np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="psd_tol must be PSD_TOL or RHO2_PSD_TOL"):
+        DensityMatrix(m, 2, psd_tol=tol)
+    for floor in (PSD_TOL, RHO2_PSD_TOL):
+        with pytest.raises(NotAState, match="positive semidefinite"):
+            DensityMatrix(m, 2, psd_tol=floor)
 
 
 def test_validation_rejects_a_top_eigenvalue_below_one_over_d_squared():
@@ -183,6 +195,12 @@ def test_maximally_entangled_vector_is_immutable():
             shared.vec[0] = 0.0
         assert shared.vec is vec and shared.d == d
     np.testing.assert_array_equal(phi_plus(2).vec, np.array([1, 0, 0, 1]) / S2)
+    # a row of a writable 2-D array is a view: the vector is a copy, not the row
+    big = np.zeros((2, 4), complex)
+    big[0] = np.array([1, 0, 0, 1]) / S2
+    vec = MaximallyEntangledVector(big[0])
+    big[0] = 1
+    np.testing.assert_array_equal(vec.vec, np.array([1, 0, 0, 1]) / S2)
 
 
 # ---- sigma family ----
@@ -499,3 +517,11 @@ def test_a_complex128_matrix_is_kept_read_only_and_any_other_is_copied():
     rho = DensityMatrix(real)
     assert not np.shares_memory(rho.mat, real) and not rho.mat.flags.writeable
     real[0, 0] = 1  # the caller's array stays writable
+    # a view of a writable stack member: its base stays writable, so the state is a copy
+    base = np.zeros((2, 4, 4), complex)
+    base[0] = np.eye(4) / 4
+    rho = DensityMatrix(base[0], 2)
+    assert not np.shares_memory(rho.mat, base) and not rho.mat.flags.writeable
+    base[0] = np.diag([0.97, 0.01, 0.01, 0.01])
+    np.testing.assert_array_equal(rho.mat, np.eye(4) / 4)
+    np.testing.assert_array_equal(rho.spectrum, [0.25] * 4)
