@@ -77,14 +77,18 @@ def _check_variant(variant: str) -> None:
 
 @dataclass(frozen=True)
 class FilterOperator:
-    """Local filter diag(a, 1) on the first qubit, 0 <= a <= 1; an array
-    ``a`` holds one filter per entry."""
+    """Local filter diag(a, 1) on the first qubit, 0 <= a <= 1; an array ``a`` holds one filter
+    per entry and is kept, as is a sequence, as a read-only float64 copy that the caller cannot change."""
 
     a: float | np.ndarray
 
     def __post_init__(self):
         if not _within(self.a, 0.0, 1.0).all():  # NaN, complex and str fail; an empty vector passes
             raise ValueError(f"filter parameter a = {self.a!r} outside [0, 1]")
+        if not np.isscalar(self.a):  # an ndarray, 0-d included, or a sequence; a Python or numpy scalar is kept
+            a = np.array(self.a, dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, "a", a)
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -94,9 +98,10 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     eigenvalue witnesses entanglement. The first subsystem's partial
     transpose is this one's full transpose, so it has the same spectrum.
     """
-    d = rho.d
-    r = rho.mat.reshape(rho.mat.shape[:-2] + (d, d, d, d))
-    return np.ascontiguousarray(r.swapaxes(-3, -1).reshape(rho.mat.shape))
+    shape = rho.mat.shape[:-2] + (rho.d,) * 4
+    out = np.empty_like(rho.mat)  # owns its memory, so spa_pt's DensityMatrix keeps it uncopied
+    out.reshape(shape)[...] = rho.mat.reshape(shape).swapaxes(-3, -1)
+    return out
 
 
 def _pt_min(rho: DensityMatrix) -> np.ndarray:
@@ -216,7 +221,7 @@ def optimize_filter(rho: DensityMatrix) -> tuple[float, float]:
     linear = r00 <= 0.0
     ratio = -re12 / np.where(linear, 1.0, r00)
     a_star = np.where(linear, re12 <= 0.0, np.where(ratio > 0.0, np.minimum(ratio, 1.0), 0.0))
-    return _py(a_star), f_opt_locc_pt(rho, FilterOperator(a_star))
+    return _py(a_star), f_opt_locc_pt(rho, FilterOperator(a_star[()]))  # one state's a* is a float: no copy
 
 
 @functools.lru_cache(maxsize=16)  # keyed by the vectors' identity; they are immutable
@@ -289,7 +294,7 @@ class DemboDecomposition:
     with the two-sided bounds on its largest eigenvalue that it gives.
 
     ``eta_low`` and ``eta_high`` are the extreme eigenvalues of R_sub;
-    ``r_sub`` is a read-only view of the matrix. The bounds are
+    ``r_sub`` is a read-only view of the matrix, and ``b`` is read-only too. The bounds are
 
     lower = (c + eta_low)/2 + sqrt((c - eta_low)^2/4 + b^dag b),
     upper_paper = (c + eta_high)/2 + sqrt((c - eta_high)^2/2 + b^dag b),
@@ -326,8 +331,9 @@ class DemboDecomposition:
             raise ValueError(f"eta_high must be finite, got {eta_high!r}")
         # eigvalsh solves a strided R_sub with a copy's bits; a strided b would move the bounds an ulp
         r_sub = m[..., : n - 1, : n - 1]
-        r_sub.setflags(write=False)
         b = np.ascontiguousarray(m[..., : n - 1, n - 1])
+        r_sub.setflags(write=False)
+        b.setflags(write=False)
         eig = linalg._eigvalsh(r_sub)
         # [()] unwraps one matrix's 0-d arrays to numpy floats, as the arithmetic below returns them
         eta_low, eta_high = eig[..., 0][()], eig[..., -1][()] if eta_high is None else eta_high

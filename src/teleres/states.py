@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import os
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -57,20 +58,22 @@ class ParseError(ValueError):
     """State file is malformed."""
 
 
+@dataclass(frozen=True, eq=False)  # == and hash by identity: field by field they would compare arrays
 class DensityMatrix:
     """A d x d bipartite state: Hermitian, unit trace, PSD within tolerance.
 
-    ``mat`` is the d^2 x d^2 matrix, ``d`` the local dimension and
-    ``spectrum`` the ascending eigenvalues computed at validation time.
-    A (k, n, n) ``mat`` is a stack of k states of one family, validated in
-    one pass; ``spectrum`` is then (k, n), and every criterion taking a
-    state takes the stack and gives one value per member. A C-contiguous
-    complex128 ``mat`` that owns its memory is kept, and made read-only in
-    the caller's hands too; a view or any other input is copied. ``spectrum``
-    is read-only as well, so a state shared by every caller cannot change.
+    ``mat`` is the d^2 x d^2 matrix, ``d`` the local dimension and ``spectrum`` the ascending
+    eigenvalues computed at validation time. A (k, n, n) ``mat`` is a stack of k states of
+    one family, validated in one pass; ``spectrum`` is then (k, n), and every criterion
+    taking a state takes the stack and gives one value per member. A C-contiguous complex128
+    ``mat`` that owns its memory is kept, and made read-only in the caller's hands too; a
+    view or any other input is copied. ``spectrum`` is read-only as well, and no attribute
+    can be reassigned or deleted, so a state shared by every caller cannot change.
     """
 
-    __slots__ = ("mat", "d", "spectrum")
+    mat: np.ndarray
+    d: int
+    spectrum: np.ndarray
 
     def __init__(self, mat: np.ndarray, d: int | None = None, *, psd_tol: float = PSD_TOL):
         if psd_tol not in (PSD_TOL, RHO2_PSD_TOL):  # NaN, inf or a loose floor would waive the PSD check
@@ -145,9 +148,9 @@ class DensityMatrix:
 
         m.setflags(write=False)
         spectrum.setflags(write=False)
-        self.mat = m
-        self.d = d
-        self.spectrum = spectrum
+        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -157,10 +160,12 @@ class DensityMatrix:
         return f"DensityMatrix(d={self.d}, lam_max={np.array2string(self.spectrum[..., -1], precision=6)})"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class MaximallyEntangledVector:
-    """Unit vector in C^(d^2) whose one-sided reductions are both I_d / d."""
+    """Unit vector in C^(d^2) whose one-sided reductions are both I_d / d; frozen, and ``vec`` is read-only."""
 
-    __slots__ = ("vec", "d")
+    vec: np.ndarray
+    d: int
 
     def __init__(self, vec: np.ndarray):
         v = np.array(vec, dtype=np.complex128)  # always a copy: the caller's array or its base may stay writable
@@ -181,11 +186,6 @@ class MaximallyEntangledVector:
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value=None):  # also __delattr__: cached instances are shared
-        raise AttributeError(f"MaximallyEntangledVector is immutable, cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def projector(self) -> np.ndarray:
         return np.outer(self.vec, self.vec.conj())

@@ -89,6 +89,12 @@ def test_pt_first_is_transpose_of_second():
     np.testing.assert_array_equal(first, partial_transpose(rho).T)
 
 
+def test_pt_owns_its_memory():
+    # spa_pt's DensityMatrix keeps an array that owns its memory, and copies any other
+    assert partial_transpose(rho1()).flags.owndata
+    assert partial_transpose(rho3(np.array([0.5, 0.6]))).flags.owndata
+
+
 def test_rho1_is_npt():
     assert hermitian_eigen(partial_transpose(rho1()))[0] < -1e-3
     assert is_npt(rho1())
@@ -256,6 +262,20 @@ def test_filter_range():
         FilterOperator(-0.1)
     with pytest.raises(ValueError):
         FilterOperator(1.1)
+
+
+def test_filter_keeps_a_read_only_copy_of_an_array_parameter():
+    a = np.array([0.5, 0.7])
+    flt = FilterOperator(a)
+    a[0] = 5.0  # after the range check: the filter must not see it
+    assert f_opt_locc_pt(rho1(), flt).tolist() == f_opt_locc_pt(rho1(), FilterOperator(np.array([0.5, 0.7]))).tolist()
+    assert f_opt_locc_pt(rho1(), flt).max() <= 0.5
+    for given in (np.array([0.5, 0.7]), np.array(0.5), [0.5, 0.7], (0, 1)):
+        kept = FilterOperator(given).a
+        assert kept is not given and kept.dtype == np.float64 and not kept.flags.writeable
+        np.testing.assert_array_equal(kept, given)
+    for scalar in (0.5, np.float64(0.5), 1):
+        assert FilterOperator(scalar).a is scalar
 
 
 def test_x_opt_identity_filter_is_bell_projector():
@@ -662,6 +682,15 @@ def test_dembo_split_blocks_and_exact_eta():
     np.testing.assert_array_equal(dec.b, rho.mat[:8, 8])
     assert dec.c == rho.mat[8, 8].real
     assert (dec.eta_low, dec.eta_high) == tuple(hermitian_eigen(dec.r_sub)[[0, -1]])
+
+
+def test_dembo_split_blocks_are_read_only():
+    for mat in (rho1().mat, random_state(3, 0, seed=39).mat.copy(), rho3(np.array([0.5, 0.6])).mat):
+        dec = DemboDecomposition.from_matrix(mat)
+        with pytest.raises(ValueError, match="read-only"):
+            dec.r_sub[..., 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.b[..., 0] = 1.0
 
 
 def _dembo_formulas(mat, eta_high=None):

@@ -227,6 +227,15 @@ def test_the_shared_sigma1_is_read_only():
         sig.spectrum[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         rho3(np.array([0.5, 0.6])).spectrum[1, -1] = 0.0
+    # no attribute of a state can be reassigned, added or deleted, so sigma_1's d stays 2
+    for state in (sig, rho3(np.array([0.5, 0.6]))):
+        for name, value in (("mat", np.eye(4) / 4), ("d", 3), ("spectrum", np.zeros(4)), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(state, name, value)
+        for name in ("mat", "d", "spectrum"):
+            with pytest.raises(AttributeError):
+                delattr(state, name)
+    assert FAMILIES["sigma"].build(None, 2).d == 2
 
 
 def test_sigma_zero_coherence_is_separable_diagonal():
